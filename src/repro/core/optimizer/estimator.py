@@ -215,10 +215,8 @@ class PlanEstimator:
         if isinstance(plan, TextScanNode):
             constants = self.context.client.ledger.constants
             plan.estimated_rows = self._selection.result_size
-            plan.estimated_cost = (
-                constants.invocation
-                + constants.per_posting * self._selection.postings
-                + constants.short_form * self._selection.result_size
+            plan.estimated_cost = constants.search_cost(
+                self._selection.postings, self._selection.result_size
             )
             return plan
 

@@ -1,56 +1,33 @@
-"""Multi-query/multi-join optimization: shared work across queries.
+"""Multi-join queries: several stored relations plus the text source.
 
-Two layers live here:
+:class:`MultiJoinQuery` (Section 6) is ONE query over ``n`` relations and
+the text source — the shape of Q5:
 
-- :class:`MultiJoinQuery` (Section 6): several stored relations plus the
-  text source in ONE query — the shape of Q5:
+    select student.name, mercury.docid
+    from student, faculty, mercury
+    where student.name in mercury.author
+      and faculty.name in mercury.author
+      and faculty.dept != student.dept
+      and 'may 1993' in mercury.year
 
-      select student.name, mercury.docid
-      from student, faculty, mercury
-      where student.name in mercury.author
-        and faculty.name in mercury.author
-        and faculty.dept != student.dept
-        and 'may 1993' in mercury.year
-
-  Text join predicate columns are qualified with their relation
-  (``student.name``); relational join predicates are arbitrary
-  expressions whose referenced columns span exactly two relations.
-
-- **cross-query share detection** (ROADMAP item 5): under the concurrent
-  serving front-end, different tenants' plans issue overlapping search
-  subexpressions.  :func:`share_key` canonicalizes a search into the key
-  under which two searches are *guaranteed* to return the same
-  :class:`~repro.textsys.result.ResultSet` — flatten same-connective
-  nesting and sort commutative operands, but **keep duplicate
-  operands**: the engine's charge identity (DESIGN invariant 11) makes
-  ``postings_processed`` a function of the leaf *multiset*, so dropping
-  a duplicate (as the cost-oriented rewriter may) would merge two
-  searches whose answers agree but whose charges differ.
-  :class:`SharedWorkGraph` groups many requests' searches by that key
-  into :class:`SharedWork` units — what the serving layer's
-  :class:`~repro.serving.sharing.SharedSearchExecutor` executes once and
-  fans out.
+Text join predicate columns are qualified with their relation
+(``student.name``); relational join predicates are arbitrary
+expressions whose referenced columns span exactly two relations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.core.query import TextJoinPredicate, TextSelection
 from repro.errors import PlanError
 from repro.relational.expressions import Expression
-from repro.textsys.parser import parse_search
-from repro.textsys.query import AndQuery, NotQuery, OrQuery, SearchNode
 
 __all__ = [
     "RelationalJoinPredicate",
     "MultiJoinQuery",
     "TEXT_SOURCE",
-    "canonicalize_for_sharing",
-    "share_key",
-    "SharedWork",
-    "SharedWorkGraph",
 ]
 
 #: The pseudo-relation name standing for the external text system in join
@@ -192,116 +169,3 @@ class MultiJoinQuery:
             if relation not in seen:
                 seen.append(relation)
         return tuple(seen)
-
-
-# ----------------------------------------------------------------------
-# cross-query share detection (ROADMAP item 5)
-# ----------------------------------------------------------------------
-def canonicalize_for_sharing(node: SearchNode) -> SearchNode:
-    """The sharing-safe canonical form of a search expression.
-
-    Same-connective nesting is flattened and commutative operands are
-    sorted by their rendering, so ``(a and b) and c`` and ``c and (b and
-    a)`` share one form.  Unlike the cost rewriter
-    (:mod:`repro.textsys.rewriter`), duplicate operands are **kept**:
-    ``a and a and b`` answers like ``a and b`` but reads ``a``'s
-    inverted list twice, so its charge differs — merging the two would
-    break the as-if-alone accounting (DESIGN invariant 16).
-    """
-    if isinstance(node, (AndQuery, OrQuery)):
-        connective = type(node)
-        flat: List[SearchNode] = []
-        for operand in node.operands:
-            canonical = canonicalize_for_sharing(operand)
-            if isinstance(canonical, connective):
-                flat.extend(canonical.operands)
-            else:
-                flat.append(canonical)
-        flat.sort(key=lambda child: child.to_expression())
-        if len(flat) == 1:
-            return flat[0]
-        return connective(tuple(flat))
-    if isinstance(node, NotQuery):
-        return NotQuery(canonicalize_for_sharing(node.operand))
-    return node
-
-
-def share_key(query: Union[SearchNode, str]) -> str:
-    """The key under which two searches may share one execution.
-
-    Equal keys guarantee identical result sets *and* identical charges
-    (the canonical form preserves the leaf multiset); unequal keys are
-    never merged by the share detector, however similar the answers
-    might happen to be.
-    """
-    if isinstance(query, str):
-        query = parse_search(query)
-    return canonicalize_for_sharing(query).to_expression()
-
-
-@dataclass
-class SharedWork:
-    """One distinct search and every request that wants its answer."""
-
-    key: str
-    query: SearchNode
-    requests: List[str] = field(default_factory=list)
-
-    @property
-    def fan_out(self) -> int:
-        return len(self.requests)
-
-    @property
-    def saved_executions(self) -> int:
-        """Executions avoided by running this unit once."""
-        return max(0, len(self.requests) - 1)
-
-
-class SharedWorkGraph:
-    """Searches from many requests, factored by :func:`share_key`.
-
-    The serving window builds one of these per batch: each distinct key
-    becomes one :class:`SharedWork` executed once through
-    ``search_batch``, with the answer fanned out to every request listed
-    under it.
-    """
-
-    def __init__(self) -> None:
-        self._units: Dict[str, SharedWork] = {}
-
-    def add(self, request_id: str, query: Union[SearchNode, str]) -> SharedWork:
-        """Register one request's search; returns its work unit."""
-        if isinstance(query, str):
-            query = parse_search(query)
-        key = share_key(query)
-        unit = self._units.get(key)
-        if unit is None:
-            unit = SharedWork(key=key, query=query)
-            self._units[key] = unit
-        unit.requests.append(request_id)
-        return unit
-
-    def units(self) -> List[SharedWork]:
-        """The distinct work units, in first-seen order."""
-        return list(self._units.values())
-
-    @property
-    def distinct_searches(self) -> int:
-        return len(self._units)
-
-    @property
-    def total_requests(self) -> int:
-        return sum(unit.fan_out for unit in self._units.values())
-
-    @property
-    def saved_executions(self) -> int:
-        return sum(unit.saved_executions for unit in self._units.values())
-
-    def __len__(self) -> int:
-        return len(self._units)
-
-    def __repr__(self) -> str:
-        return (
-            f"SharedWorkGraph({self.distinct_searches} distinct / "
-            f"{self.total_requests} requested)"
-        )

@@ -14,6 +14,7 @@ from repro.gateway.cache import (
     SearchCache,
 )
 from repro.gateway.client import SearchCall, TextClient
+from repro.gateway.inflight import InflightSearchTable, SharingStats
 from repro.gateway.costs import (
     PAPER_CONSTANTS,
     VECTOR_CONSTANTS,
@@ -53,6 +54,8 @@ __all__ = [
     "RetrieveCache",
     "LruCache",
     "CacheStats",
+    "InflightSearchTable",
+    "SharingStats",
     "CallSpan",
     "CallTracer",
     "format_trace",

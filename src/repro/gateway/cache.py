@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Generic, Optional, TypeVar
 
 from repro.errors import GatewayError
+from repro.gateway.inflight import InflightSearchTable
 from repro.textsys.documents import Document
 from repro.textsys.result import ResultSet
 
@@ -45,7 +46,6 @@ __all__ = [
     "LruCache",
     "SearchCache",
     "RetrieveCache",
-    "PendingFill",
     "GatewayCache",
     "DEFAULT_SEARCH_CAPACITY",
     "DEFAULT_RETRIEVE_CAPACITY",
@@ -175,38 +175,6 @@ class RetrieveCache(LruCache[Document]):
         super().__init__(capacity)
 
 
-class PendingFill:
-    """One in-flight cache fill: the leader's promise of a result.
-
-    Created by the first client to miss an expression
-    (:meth:`GatewayCache.claim_search_fill` returns ``None`` to that
-    *leader*); every later client that misses the same expression while
-    the fill is outstanding gets this handle back and waits on it
-    instead of dispatching its own search.  The leader resolves it via
-    :meth:`GatewayCache.publish_search_fill`; a ``None`` outcome (the
-    leader failed, or the data version moved mid-fetch) tells waiters to
-    fall back to their own dispatch.
-    """
-
-    __slots__ = ("_event", "result")
-
-    def __init__(self, result: Optional[ResultSet] = None) -> None:
-        self._event = threading.Event()
-        self.result = result
-        if result is not None:
-            self._event.set()
-
-    def resolve(self, result: Optional[ResultSet]) -> None:
-        self.result = result
-        self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> Optional[ResultSet]:
-        """The fill's outcome; None when it failed (or timed out)."""
-        if not self._event.wait(timeout):
-            return None
-        return self.result
-
-
 class GatewayCache:
     """The client-facing pair of caches plus version-based invalidation.
 
@@ -245,15 +213,14 @@ class GatewayCache:
         self.retrieve = RetrieveCache(retrieve_capacity)
         self._lock = threading.Lock()
         self._seen_version: Optional[Any] = None
-        #: Cross-ticket in-flight fills: expression -> the pending fill
-        #: every concurrent misser waits on instead of dispatching its
-        #: own identical search.  Without this map two tenants missing
-        #: the same expression at the same time BOTH dispatched (the
-        #: old fill path only deduplicated within one ``search_batch``
-        #: call).
-        self._pending: Dict[str, PendingFill] = {}
-        #: How many lookups were served by waiting on another ticket's
-        #: in-flight fill rather than by a cache entry or own dispatch.
+        #: Cross-ticket single-flight: concurrent clients missing the
+        #: same search wait on one dispatch instead of each sending
+        #: their own (the cache alone deduplicates *storage*, not
+        #: in-flight work).  Zero window; a serving layer that wants a
+        #: batch window hands its clients its own table instead.
+        self.inflight = InflightSearchTable()
+        #: How many lookups were served by joining another ticket's
+        #: in-flight search rather than by a cache entry or own dispatch.
         self.coalesced = 0
 
     def validate(self, data_version: Any) -> bool:
@@ -303,43 +270,10 @@ class GatewayCache:
             self.retrieve.put(docid, document)
             return True
 
-    def claim_search_fill(self, expression: str) -> Optional[PendingFill]:
-        """Claim leadership of the fill for ``expression``, or join it.
-
-        Returns ``None`` when the caller becomes the fill leader — it
-        MUST later call :meth:`publish_search_fill` (with ``None`` on
-        failure), or waiters stall until their timeout.  Returns the
-        outstanding :class:`PendingFill` when another ticket is already
-        fetching; returns an already-resolved fill when the entry
-        landed in the cache between the caller's miss and this claim.
-        """
+    def note_coalesced(self, count: int = 1) -> None:
+        """Count ``count`` lookups answered by joining an in-flight search."""
         with self._lock:
-            cached = self.search.peek(expression)
-            if cached is not None:
-                return PendingFill(cached)
-            pending = self._pending.get(expression)
-            if pending is None:
-                self._pending[expression] = PendingFill()
-                return None
-            self.coalesced += 1
-            return pending
-
-    def publish_search_fill(
-        self, expression: str, result: Optional[ResultSet], data_version: Any
-    ) -> None:
-        """Resolve the pending fill for ``expression`` (leader only).
-
-        A ``None`` result, or a data version that moved since the fetch
-        began, resolves the fill as *failed*: waiters dispatch their own
-        searches instead of consuming a stale or missing answer.
-        """
-        with self._lock:
-            pending = self._pending.pop(expression, None)
-            if pending is None:
-                return
-            if result is not None and self._seen_version != data_version:
-                result = None
-        pending.resolve(result)
+            self.coalesced += count
 
     def clear(self) -> None:
         """Drop all entries and forget the observed version (stats kept)."""

@@ -10,7 +10,7 @@ between OpenODB and the CMU Mercury server: instead of paying real
 seconds per connection, the ledger accumulates *simulated* seconds using
 the constants the paper calibrated on that link.
 
-Two optional layers ride on the gateway:
+Three optional layers ride on the gateway:
 
 - a :class:`~repro.gateway.cache.GatewayCache`: repeated searches and
   long-form retrievals are answered locally.  A hit charges *nothing*
@@ -19,6 +19,15 @@ Two optional layers ride on the gateway:
   server's ``data_version`` moves, so staleness is impossible.  Without
   a cache (the default) the client's accounting is bit-identical to the
   uncached gateway.
+- an :class:`~repro.gateway.inflight.InflightSearchTable`: searches the
+  cache could not answer are coalesced with identical searches other
+  clients have in flight.  A cache brings its own zero-window table; a
+  serving layer hands every client one shared (possibly windowed)
+  table.  The table only returns answers — this client settles each one
+  at its as-if-alone price: a *joined* answer is a cache hit when there
+  is a cache, and is charged in full plus credited to
+  ``ledger.seconds_shared`` when there is none.  With neither a cache
+  nor a table every search is dispatched directly.
 - a :class:`~repro.gateway.tracing.CallTracer`: every search, probe,
   batch and retrieval becomes a span labelled with the current execution
   phase (scan/probe/TS/SJ-batch/RTP).  The legacy ``call_log`` is now a
@@ -31,8 +40,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import GatewayError
-from repro.gateway.cache import CacheStats, GatewayCache, PendingFill
+from repro.gateway.cache import CacheStats, GatewayCache
 from repro.gateway.costs import CostConstants, CostLedger
+from repro.gateway.inflight import InflightSearchTable
 from repro.gateway.tracing import CallTracer
 from repro.textsys.documents import Document
 from repro.textsys.parser import parse_search
@@ -41,13 +51,6 @@ from repro.textsys.result import ResultSet
 from repro.textsys.server import BooleanTextServer
 
 __all__ = ["TextClient", "SearchCall"]
-
-#: How long a coalesced search waits for another ticket's in-flight
-#: cache fill before falling back to its own dispatch.  Generous — a
-#: resolved fill sets the event immediately; the bound only guards
-#: against a fill leader dying without publishing.
-_FILL_WAIT_SECONDS = 600.0
-
 
 @dataclass(frozen=True)
 class SearchCall:
@@ -60,7 +63,16 @@ class SearchCall:
 
 
 class TextClient:
-    """Search/retrieve access to the text server with cost accounting."""
+    """Search/retrieve access to the text server with cost accounting.
+
+    What the client was given decides how a search is settled, not a
+    mode switch: a cached entry is a hit; a search joined to an
+    identical one in the ``inflight`` table (the one passed, else the
+    cache's own) is a hit with a cache and charged-alone plus
+    ``seconds_shared`` without; anything else is dispatched and
+    charged.  The ledger — and with it any budget — is only ever
+    touched from the calling thread.
+    """
 
     def __init__(
         self,
@@ -71,6 +83,7 @@ class TextClient:
         tracer: Optional[CallTracer] = None,
         ledger: Optional[CostLedger] = None,
         cache_stats: Optional[CacheStats] = None,
+        inflight: Optional[InflightSearchTable] = None,
     ) -> None:
         self.server = server
         #: An explicit ``ledger`` lets several clients charge one shared
@@ -90,6 +103,13 @@ class TextClient:
         #: (safe unlocked: the admission queue runs one query per
         #: tenant at a time).
         self.cache_stats = cache_stats
+        #: The in-flight table searches are coalesced through: the one
+        #: handed in (a serving layer shares a single table across every
+        #: client), else the cache's own zero-window table, else none —
+        #: and then every search is dispatched directly.
+        self.inflight = inflight
+        if inflight is None and cache is not None:
+            self.inflight = cache.inflight
         self.tracer = tracer if tracer is not None else CallTracer(enabled=log_calls)
 
     # ------------------------------------------------------------------
@@ -212,46 +232,38 @@ class TextClient:
         )
         return cached
 
+    def _credit_shared(self, seconds: float) -> None:
+        """Record the backend work a cache-less joined search avoided."""
+        self.ledger.credit_shared(seconds)
+        self.inflight.stats.on_join(seconds)
+
     def _metered_search(self, query: Union[SearchNode, str], kind: str) -> ResultSet:
         query, expression = self._canonical(query)
         version = None
-        fill_leader = False
         if self.cache is not None:
             version = self._data_version()
             self.cache.validate(version)
             cached = self.cache.search.get(expression)
             if cached is not None:
                 return self._serve_cached(kind, expression, cached)
-            # Single-flight: if another ticket is already fetching this
-            # expression, wait for its fill instead of dispatching a
-            # duplicate search; otherwise claim fill leadership (and
-            # publish the outcome below, success or not).
-            pending = self.cache.claim_search_fill(expression)
-            if pending is not None:
-                coalesced = pending.wait(_FILL_WAIT_SECONDS)
-                if coalesced is not None:
-                    return self._serve_cached(kind, expression, coalesced)
-                # The leader failed or the data moved: fall through to
-                # our own dispatch (without claiming — the herd is at
-                # most one failed fill wide).
-            else:
-                fill_leader = True
-            self._note_cache(hit=False)
-        result = None
+        joined = False
         try:
-            result = self.server.search(query)
+            if self.inflight is None:
+                result = self.server.search(query)
+            else:
+                ((result, joined),) = self.inflight.fetch(
+                    self.server, [query], self.cache, [expression], version
+                )
         finally:
             self._settle_transport()
-            if fill_leader:
-                # Insert before publishing so a fresh misser finds the
-                # entry rather than claiming a new fill; both steps are
-                # version-stamped (dropped if the data moved mid-fetch).
-                if result is not None:
-                    self.cache.put_search(expression, result, version)
-                self.cache.publish_search_fill(expression, result, version)
+        if self.cache is not None:
+            if joined:
+                self.cache.note_coalesced()
+                return self._serve_cached(kind, expression, result)
+            self._note_cache(hit=False)
         cost = self.ledger.charge_search(result.postings_processed, len(result))
-        if self.cache is not None and not fill_leader:
-            self.cache.put_search(expression, result, version)
+        if joined:
+            self._credit_shared(cost)
         if self.tracer.enabled:
             self.tracer.record(
                 kind,
@@ -270,7 +282,10 @@ class TextClient:
         single ``c_i`` for the whole batch plus the usual processing and
         short-form transmission for every query's answer.  With a cache,
         only the missing queries travel; if every query hits, the whole
-        invocation (including ``c_i``) is saved.
+        invocation (including ``c_i``) is saved.  A batch may repeat the
+        same instantiated conjunct (SJ batches routinely do): through
+        the in-flight table each distinct search travels once and the
+        repeats join it.
         """
         search_batch = getattr(self.server, "search_batch", None)
         if search_batch is None:
@@ -279,7 +294,7 @@ class TextClient:
                 "wrap it in BatchingTextServer"
             )
         queries = list(queries)
-        if self.cache is None:
+        if self.inflight is None:
             try:
                 results = search_batch(queries)
             finally:
@@ -296,132 +311,83 @@ class TextClient:
             )
             return results
 
-        version = self._data_version()
-        self.cache.validate(version)
-        canonical = [self._canonical(query) for query in queries]
-        results: List[Optional[ResultSet]] = []
-        misses: List[Tuple[int, Union[SearchNode, str], str]] = []
-        for index, (query, expression) in enumerate(canonical):
-            cached = self.cache.search.get(expression)
-            results.append(cached)
-            if cached is None:
-                misses.append((index, query, expression))
+        expressions: List[Optional[str]] = [None] * len(queries)
+        results: List[Optional[ResultSet]] = [None] * len(queries)
+        misses = list(range(len(queries)))
+        version = None
+        if self.cache is not None:
+            version = self._data_version()
+            self.cache.validate(version)
+            canonical = [self._canonical(query) for query in queries]
+            queries = [query for query, _ in canonical]
+            expressions = [expression for _, expression in canonical]
+            for index, expression in enumerate(expressions):
+                results[index] = self.cache.search.get(expression)
+            misses = [index for index in misses if results[index] is None]
 
-        # A batch may repeat the same instantiated conjunct (SJ batches
-        # routinely do); each distinct expression travels — and is
-        # metered — once, and the answer fans back out to every
-        # occurrence, mirroring retrieve_many's duplicate handling.
-        miss_positions: Dict[str, List[int]] = {}
-        distinct: List[Tuple[Union[SearchNode, str], str]] = []
-        for index, query, expression in misses:
-            positions = miss_positions.get(expression)
-            if positions is None:
-                miss_positions[expression] = [index]
-                distinct.append((query, expression))
-            else:
-                positions.append(index)
-
-        # Cross-ticket single-flight: claim fill leadership per distinct
-        # miss.  Claimed expressions travel in our batch; the rest are
-        # already being fetched by another ticket, so we wait on their
-        # fills instead of dispatching duplicates.
-        dispatched: List[Tuple[Union[SearchNode, str], str]] = []
-        waiting: List[Tuple[Union[SearchNode, str], str, PendingFill]] = []
-        for query, expression in distinct:
-            pending = self.cache.claim_search_fill(expression)
-            if pending is None:
-                dispatched.append((query, expression))
-            else:
-                waiting.append((query, expression, pending))
-
-        def fan_out(expression: str, result: ResultSet) -> None:
-            for index in miss_positions[expression]:
+        joined = set()
+        if misses:
+            try:
+                fetched = self.inflight.fetch(
+                    self.server,
+                    [queries[index] for index in misses],
+                    self.cache,
+                    [expressions[index] for index in misses],
+                    version,
+                )
+            finally:
+                self._settle_transport()
+            for index, (result, was_joined) in zip(misses, fetched):
                 results[index] = result
+                if was_joined:
+                    joined.add(index)
 
+        # Settle as if alone.  Without a cache the whole batch is
+        # charged (one c_i plus every answer) and each joined answer's
+        # share is credited to ``seconds_shared``.  With one, only the
+        # answers dispatched for this client are charged; hits and
+        # joined answers are saved, plus the invocation itself when
+        # nothing travelled on this client's behalf.
         constants = self.ledger.constants
+        paid = misses
+        if self.cache is not None:
+            paid = [index for index in misses if index not in joined]
         cost = 0.0
-        invocations = 0
-        if dispatched:
-            fetched = None
-            try:
-                fetched = search_batch([query for query, _ in dispatched])
-            finally:
-                self._settle_transport()
-                for position, (_, expression) in enumerate(dispatched):
-                    result = (
-                        fetched[position] if fetched is not None else None
-                    )
-                    if result is not None:
-                        self.cache.put_search(expression, result, version)
-                    self.cache.publish_search_fill(expression, result, version)
-            cost += self.ledger.charge_search(
-                sum(result.postings_processed for result in fetched),
-                sum(len(result) for result in fetched),
+        if paid:
+            cost = self.ledger.charge_search(
+                sum(results[index].postings_processed for index in paid),
+                sum(len(results[index]) for index in paid),
             )
-            invocations += 1
-            for (_, expression), result in zip(dispatched, fetched):
-                fan_out(expression, result)
-
-        coalesced_expressions = set()
-        retries: List[Tuple[Union[SearchNode, str], str]] = []
-        for query, expression, pending in waiting:
-            result = pending.wait(_FILL_WAIT_SECONDS)
-            if result is None:
-                # The other ticket's fill failed; fetch it ourselves in
-                # a second (charged) invocation below.
-                retries.append((query, expression))
-            else:
-                coalesced_expressions.add(expression)
-                fan_out(expression, result)
-        if retries:
-            try:
-                fetched = search_batch([query for query, _ in retries])
-            finally:
-                self._settle_transport()
-            cost += self.ledger.charge_search(
-                sum(result.postings_processed for result in fetched),
-                sum(len(result) for result in fetched),
-            )
-            invocations += 1
-            for (_, expression), result in zip(retries, fetched):
-                self.cache.put_search(expression, result, version)
-                fan_out(expression, result)
-
-        # What the batch would have cost without the cache, minus what
-        # was actually paid: the processing/transmission shares of every
-        # occurrence answered locally (cache hits) or by another
-        # ticket's fill (coalesced), plus the invocation itself when
-        # nothing travelled at all.
-        miss_indexes = {index for index, _, _ in misses}
         saved = 0.0
-        for index, result in enumerate(results):
-            if index not in miss_indexes:
-                self._note_cache(hit=True)
-            else:
-                expression = canonical[index][1]
-                if expression not in coalesced_expressions:
-                    self._note_cache(hit=False)
-                    continue
-                self._note_cache(hit=True)
-            saved += (
-                constants.per_posting * result.postings_processed
-                + constants.short_form * len(result)
-            )
-        if invocations == 0:
-            saved += constants.invocation
-        if saved:
-            self.ledger.credit_saved(saved)
-
-        postings = sum(result.postings_processed for result in results)
-        returned = sum(len(result) for result in results)
+        if self.cache is None:
+            for index in joined:
+                result = results[index]
+                self._credit_shared(
+                    constants.answer_cost(result.postings_processed, len(result))
+                )
+        else:
+            if joined:
+                self.cache.note_coalesced(len(joined))
+            dispatched = set(paid)
+            for index, result in enumerate(results):
+                hit = index not in dispatched
+                self._note_cache(hit=hit)
+                if hit:
+                    saved += constants.answer_cost(
+                        result.postings_processed, len(result)
+                    )
+            if not paid:
+                saved += constants.invocation
+            if saved:
+                self.ledger.credit_saved(saved)
         self.tracer.record(
             "batch",
             f"<batch of {len(queries)}>",
-            result_size=returned,
-            postings_processed=postings,
+            result_size=sum(len(result) for result in results),
+            postings_processed=sum(result.postings_processed for result in results),
             cost=cost,
             saved=saved,
-            cache_hit=invocations == 0,
+            cache_hit=self.cache is not None and not paid,
         )
         return results
 

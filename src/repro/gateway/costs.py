@@ -59,6 +59,16 @@ class CostConstants:
             + self.short_form * result_size
         )
 
+    def answer_cost(self, postings_processed: int, result_size: int) -> float:
+        """One answer's processing + short-form share, without ``c_i``.
+
+        What a search inside a batched invocation costs on its own: the
+        batch pays one ``c_i`` however many answers it carries.  With
+        :meth:`search_cost` this is the one as-if-alone price every
+        cache hit, joined flight and shared-search credit is settled at.
+        """
+        return self.per_posting * postings_processed + self.short_form * result_size
+
 
 #: The constants measured on the live OpenODB ↔ Mercury integration.
 PAPER_CONSTANTS = CostConstants()
@@ -93,15 +103,16 @@ class CostLedger:
     ``seconds_saved``, ``seconds_shared`` and ``seconds_retried`` are
     side channels, NOT part of ``total``: the first accumulates the
     simulated cost that gateway-cache hits avoided (a hit charges
-    nothing into the counts above); the second accumulates the simulated
-    backend work a tenant's searches avoided by *joining* another
-    in-flight identical search under the serving layer's cross-query
-    sharing executor (the tenant is still charged in full, as if it ran
+    nothing into the counts above — and for a caching client, joining
+    another client's identical in-flight search *is* a hit); the second
+    accumulates the simulated backend work a cache-less client's
+    searches avoided by joining an identical search in the gateway's
+    in-flight table (the client is still charged in full, as if it ran
     alone — DESIGN invariant 16); the third accumulates simulated
     seconds *wasted* by the remote transport on failed attempts and
     backoff pauses (see :mod:`repro.remote.transport`).  Keeping all
     three out of ``total`` preserves the Section 4.1 identity exactly
-    while still making the cache, the sharing layer, and retry overhead
+    while still making the cache, the in-flight table, and retry overhead
     observable next to the ``c_i``-dominated link costs.
 
     The ledger is safe to share across threads: pooled transports and
@@ -151,7 +162,8 @@ class CostLedger:
         return self.constants.rtp_per_document * document_count
 
     def credit_saved(self, seconds: float) -> float:
-        """Record simulated seconds a cache hit avoided (not in ``total``)."""
+        """Record simulated seconds a cache hit — or, with a cache, a
+        joined in-flight search — avoided (not in ``total``)."""
         if seconds < 0:
             raise GatewayError("saved seconds must be non-negative")
         with self._lock:
@@ -165,6 +177,8 @@ class CostLedger:
         already carries the full alone-cost of the search (DESIGN
         invariant 16); this records the backend work that did *not*
         happen because the search joined an identical in-flight one.
+        Only cache-less clients credit this channel; a caching client
+        settles a join as a hit through :meth:`credit_saved`.
         """
         if seconds < 0:
             raise GatewayError("shared seconds must be non-negative")

@@ -8,19 +8,17 @@ thread-safe) gateway accounting:
 - :mod:`repro.serving.scheduler` — stride-based weighted fair sharing;
 - :mod:`repro.serving.admission` — bounded queue with backpressure;
 - :mod:`repro.serving.metrics` — QPS / latency / hit-rate snapshots;
-- :mod:`repro.serving.sharing` — windowed cross-query search sharing;
 - :mod:`repro.serving.service` — the worker pool tying it together.
+
+Cross-query search sharing is not a serving module: ``QueryService(
+share_window=...)`` builds one :class:`~repro.gateway.inflight.
+InflightSearchTable` and hands it to every query's client.
 """
 
 from repro.serving.admission import AdmissionQueue
 from repro.serving.metrics import ServiceMetrics, percentile
 from repro.serving.scheduler import STRIDE_UNIT, StrideScheduler
 from repro.serving.service import QueryService, QueryTicket
-from repro.serving.sharing import (
-    DEFAULT_SHARE_WINDOW,
-    SharedSearchExecutor,
-    SharingStats,
-)
 from repro.serving.tenants import BudgetedCostLedger, TenantSpec, TenantState
 
 __all__ = [
@@ -32,9 +30,6 @@ __all__ = [
     "QueryService",
     "QueryTicket",
     "BudgetedCostLedger",
-    "SharedSearchExecutor",
-    "SharingStats",
-    "DEFAULT_SHARE_WINDOW",
     "TenantSpec",
     "TenantState",
 ]

@@ -110,8 +110,8 @@ class ServiceMetrics:
         TenantState`), the snapshot carries a ``per_tenant`` block —
         cache hit rate and cache/shared seconds saved attributed to each
         tenant, not just service-wide.  With ``sharing`` (the service's
-        :class:`~repro.serving.sharing.SharedSearchExecutor`), it
-        carries that executor's window/flight/join counters.
+        :class:`~repro.gateway.inflight.InflightSearchTable`), it
+        carries that table's window/flight/join counters.
         """
         with self._lock:
             elapsed = max(self._clock() - self._started_at, 1e-9)
@@ -173,10 +173,8 @@ def _breaker_states(backend: Optional[Any]) -> List[str]:
     report = getattr(backend, "report", None)
     if report is None:
         return []
-    try:
-        per_shard = report().get("per_shard", [])
-    except Exception:
-        return []
     return [
-        shard["breaker_state"] for shard in per_shard if "breaker_state" in shard
+        shard["breaker_state"]
+        for shard in report().get("per_shard", [])
+        if "breaker_state" in shard
     ]

@@ -37,11 +37,11 @@ from repro.errors import AdmissionRejected, ServingError
 from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
 from repro.gateway.costs import VECTOR_CONSTANTS, CostConstants
+from repro.gateway.inflight import InflightSearchTable
 from repro.gateway.tracing import CallTracer
 from repro.textsys.vector import VectorQuery
 from repro.serving.admission import AdmissionQueue
 from repro.serving.metrics import ServiceMetrics
-from repro.serving.sharing import SharedSearchExecutor
 from repro.serving.tenants import TenantSpec, TenantState
 from repro.workload.scenarios import Scenario
 
@@ -156,17 +156,15 @@ class QueryService:
         self.metrics = ServiceMetrics()
         self.workers = workers
         self._queue = AdmissionQueue(capacity, workers=workers, max_inflight=1)
-        #: Cross-query sharing (ROADMAP item 5): with a ``share_window``
-        #: (seconds; 0 enables single-flight dedupe only), Boolean
-        #: searches from concurrent queries are canonicalized, merged by
+        #: Cross-query sharing: with a ``share_window`` (seconds; 0 is
+        #: single-flight dedupe only) every query's client coalesces its
+        #: Boolean searches through this one in-flight table — merged by
         #: share key, executed once through the backend's
-        #: ``search_batch``, and fanned out — with every tenant still
-        #: charged as if alone (DESIGN invariant 16) and the avoided
-        #: backend work credited to ``ledger.seconds_shared``.
-        self.sharing: Optional[SharedSearchExecutor] = None
+        #: ``search_batch``, fanned out — with every tenant still
+        #: charged as if alone (DESIGN invariant 16).
+        self.sharing: Optional[InflightSearchTable] = None
         if share_window is not None:
-            self.sharing = SharedSearchExecutor(
-                self.backend,
+            self.sharing = InflightSearchTable(
                 window_seconds=share_window,
                 max_batch=max_share_batch,
                 inflight_hint=lambda: self._queue.inflight,
@@ -300,15 +298,13 @@ class QueryService:
                 ledger=state.vector_ledger,
             )
             return client.search(ticket.query)
-        backend = self.backend
-        if self.sharing is not None:
-            backend = self.sharing.bind(state.spec.name, state.ledger)
         client = TextClient(
-            backend,
+            self.backend,
             cache=self.cache,
             tracer=self.tracer,
             ledger=state.ledger,
             cache_stats=state.cache_stats,
+            inflight=self.sharing,
         )
         context = JoinContext(self.scenario.catalog, client)
         method = ticket.method

@@ -35,7 +35,7 @@ from repro.textsys.engine import (
     resolve_engine_mode,
 )
 from repro.textsys.inverted_index import InvertedIndex
-from repro.textsys.parser import DEFAULT_FIELD_CODES, parse_search
+from repro.textsys.parser import DEFAULT_FIELD_CODES, parse_search, share_key
 from repro.textsys.postings import (
     Posting,
     PostingList,
@@ -58,6 +58,7 @@ from repro.textsys.query import (
     TermQuery,
     TruncatedQuery,
     and_all,
+    canonicalize_for_sharing,
     make_term,
     or_all,
 )
@@ -107,7 +108,9 @@ __all__ = [
     "make_term",
     "and_all",
     "or_all",
+    "canonicalize_for_sharing",
     "parse_search",
+    "share_key",
     "DEFAULT_FIELD_CODES",
     "evaluate",
     "matches_document",

@@ -15,7 +15,7 @@ Field codes are resolved through a caller-supplied mapping (e.g.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Union
 
 from repro.errors import SearchSyntaxError
 from repro.textsys.analysis import normalize_term
@@ -25,10 +25,11 @@ from repro.textsys.query import (
     OrQuery,
     ProximityQuery,
     SearchNode,
+    canonicalize_for_sharing,
     make_term,
 )
 
-__all__ = ["parse_search", "term_node", "DEFAULT_FIELD_CODES"]
+__all__ = ["parse_search", "share_key", "term_node", "DEFAULT_FIELD_CODES"]
 
 #: Conventional bibliographic field codes (LOCIS/Dialog style).
 DEFAULT_FIELD_CODES: Dict[str, str] = {
@@ -180,3 +181,17 @@ def parse_search(
     if not tokens:
         raise SearchSyntaxError("empty search expression")
     return _Parser(tokens, field_codes).parse()
+
+
+def share_key(query: Union[SearchNode, str]) -> str:
+    """The key under which two searches may share one execution.
+
+    Equal keys guarantee identical result sets *and* identical charges
+    (:func:`~repro.textsys.query.canonicalize_for_sharing` preserves the
+    leaf multiset, and with it ``postings_processed`` — DESIGN invariant
+    11); unequal keys are never merged by the gateway's in-flight search
+    table, however similar the answers might happen to be.
+    """
+    if isinstance(query, str):
+        query = parse_search(query)
+    return canonicalize_for_sharing(query).to_expression()

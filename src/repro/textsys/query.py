@@ -34,6 +34,7 @@ __all__ = [
     "data_term",
     "and_all",
     "or_all",
+    "canonicalize_for_sharing",
 ]
 
 
@@ -261,3 +262,32 @@ def or_all(operands: Iterable[SearchNode]) -> SearchNode:
     if len(flat) == 1:
         return flat[0]
     return OrQuery(tuple(flat))
+
+
+def canonicalize_for_sharing(node: SearchNode) -> SearchNode:
+    """The sharing-safe canonical form of a search expression.
+
+    Same-connective nesting is flattened and commutative operands are
+    sorted by their rendering, so ``(a and b) and c`` and ``c and (b and
+    a)`` share one form.  Unlike the cost rewriter
+    (:mod:`repro.textsys.rewriter`), duplicate operands are **kept**:
+    ``a and a and b`` answers like ``a and b`` but reads ``a``'s
+    inverted list twice, so its charge differs — merging the two would
+    break the as-if-alone accounting (DESIGN invariant 16).
+    """
+    if isinstance(node, (AndQuery, OrQuery)):
+        connective = type(node)
+        flat: List[SearchNode] = []
+        for operand in node.operands:
+            canonical = canonicalize_for_sharing(operand)
+            if isinstance(canonical, connective):
+                flat.extend(canonical.operands)
+            else:
+                flat.append(canonical)
+        flat.sort(key=lambda child: child.to_expression())
+        if len(flat) == 1:
+            return flat[0]
+        return connective(tuple(flat))
+    if isinstance(node, NotQuery):
+        return NotQuery(canonicalize_for_sharing(node.operand))
+    return node

@@ -6,8 +6,8 @@ coincide.  Soundness demands two things, hypothesis-tested here:
 - **Equal keys are truly interchangeable**: any commutation/re-nesting
   of the same connective keeps the key *and* the server's answer —
   docids, result size, and (invariant 11) ``postings_processed``.
-- **Unequal keys never merge**: :class:`SharedWorkGraph` groups
-  requests strictly by key; duplicates inside a conjunction are
+- **Unequal keys never merge**: the in-flight search table groups
+  searches strictly by key; duplicates inside a conjunction are
   preserved (``AND(x, x, y)`` is NOT collapsed to ``AND(x, y)`` — the
   leaf multiset determines the charge, so dedup would falsify it).
 """
@@ -19,12 +19,15 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimizer.multiquery import (
-    SharedWorkGraph,
+from repro.gateway.inflight import InflightSearchTable
+from repro.textsys.parser import share_key
+from repro.textsys.query import (
+    AndQuery,
+    NotQuery,
+    OrQuery,
+    TermQuery,
     canonicalize_for_sharing,
-    share_key,
 )
-from repro.textsys.query import AndQuery, NotQuery, OrQuery, TermQuery
 
 TERMS = [
     ("title", "belief"),
@@ -97,23 +100,34 @@ def test_equal_keys_mean_identical_server_answers(
     assert canonical.postings_processed == original.postings_processed
 
 
+class _CountingBackend:
+    """Answers every search with its own rendering; counts dispatches."""
+
+    def __init__(self):
+        self.searches = 0
+
+    def search(self, query):
+        self.searches += 1
+        return query.to_expression()
+
+    def search_batch(self, queries):
+        return [self.search(query) for query in queries]
+
+
 @given(first=trees, second=trees)
 @settings(max_examples=100, deadline=None)
 def test_unequal_keys_are_never_grouped(first, second):
-    graph = SharedWorkGraph()
-    graph.add("r1", first)
-    graph.add("r2", second)
+    """The real table, one thread, zero window: two searches admitted
+    together travel once iff their share keys are equal."""
+    backend = _CountingBackend()
+    outcomes = InflightSearchTable().fetch(backend, [first, second])
+    assert outcomes[0] == (first.to_expression(), False)
     if share_key(first) == share_key(second):
-        assert graph.distinct_searches == 1
-        (unit,) = graph.units()
-        assert unit.fan_out == 2
+        assert backend.searches == 1
+        assert outcomes[1] == (first.to_expression(), True)
     else:
-        assert graph.distinct_searches == 2
-        for unit in graph.units():
-            keys = {share_key(first), share_key(second)}
-            assert unit.key in keys
-            assert unit.fan_out == 1
-    assert graph.total_requests == 2
+        assert backend.searches == 2
+        assert outcomes[1] == (second.to_expression(), False)
 
 
 def test_duplicates_inside_a_conjunction_are_preserved():

@@ -3,14 +3,13 @@
 The bug this guards against: two tenants submit byte-identical queries
 with a shared :class:`GatewayCache`, both miss (the entry is not filled
 yet), and both dispatch the search to the text server — the cache
-deduplicates *storage* but not *in-flight work*.  The fix is an
-in-flight fill map (:meth:`GatewayCache.claim_search_fill` /
-:meth:`publish_search_fill`): the first misser becomes the fill leader,
-later missers wait on its :class:`PendingFill` and are accounted as
-cache hits.
+deduplicates *storage* but not *in-flight work*.  The fix is the
+cache's zero-window :class:`InflightSearchTable`: the first misser
+creates a flight and dispatches it, later missers join the flight and
+are accounted as cache hits.
 
 The stress tests run with ``sys.setswitchinterval(1e-6)`` and a slow
-server so that, without the in-flight map, every thread reliably
+server so that, without the in-flight table, every thread reliably
 misses before the first fill lands — they fail on the pre-fix client.
 """
 
@@ -21,8 +20,10 @@ import time
 import pytest
 
 from repro.errors import GatewayError
-from repro.gateway.cache import GatewayCache, PendingFill
+from repro.gateway import inflight
+from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
+from repro.gateway.inflight import InflightSearchTable
 from repro.textsys.batching import BatchingTextServer
 
 
@@ -192,33 +193,137 @@ class TestSingleFlightSearch:
             )
 
 
+class GatedServer:
+    """Answers ``answer``; the first ``gated`` searches block on ``gate``."""
+
+    def __init__(self, answer, gated=0):
+        self.answer = answer
+        self.gate = threading.Event()
+        self.entered = threading.Event()
+        self.searches = 0
+        self._gated = gated
+        self._lock = threading.Lock()
+
+    def search(self, query):
+        with self._lock:
+            self.searches += 1
+            blocked = self.searches <= self._gated
+        if blocked:
+            self.entered.set()
+            assert self.gate.wait(10)
+        return self.answer
+
+
+def _in_thread(target):
+    outcome = []
+    thread = threading.Thread(target=lambda: outcome.append(target()))
+    thread.start()
+    return thread, outcome
+
+
 class TestPendingFill:
-    def test_pre_resolved_fill_returns_immediately(self, tiny_server):
-        client = TextClient(tiny_server, cache=GatewayCache())
-        result = client.search("TI='belief'")
-        fill = PendingFill(result)
-        assert fill.wait(0.0) is result
+    """The cache-facing behaviours of the in-flight table (the class
+    keeps the name of the fill handle the table replaced).  The table
+    treats answers as opaque, so the servers here return strings."""
+
+    QUERY = "TI='belief'"
+    KEY = "title='belief'"
+
+    def test_pre_resolved_fill_returns_immediately(self):
+        cache = GatewayCache()
+        cache.validate("v1")
+        cache.put_search(self.KEY, "cached", "v1")
+        server = GatedServer("fetched")
+        outcomes = InflightSearchTable(window_seconds=5.0).fetch(
+            server, [self.QUERY], cache, [self.KEY], "v1"
+        )
+        # No flight, no window wait, no dispatch: the entry answers.
+        assert outcomes == [("cached", True)]
+        assert server.searches == 0
 
     def test_claim_after_fill_sees_the_cached_entry(self, tiny_server):
         cache = GatewayCache()
         client = TextClient(tiny_server, cache=cache)
-        result = client.search("TI='belief'")
-        expression = "title='belief'"
-        fill = cache.claim_search_fill(expression)
-        assert fill is not None  # resolved, not a leadership claim
-        assert fill.wait(0.0).docids == result.docids
+        result = client.search(self.QUERY)
+        before = tiny_server.counters.snapshot()
+        ((again, joined),) = cache.inflight.fetch(
+            tiny_server, [self.QUERY], cache, [self.KEY], tiny_server.data_fingerprint
+        )
+        assert joined and again.docids == result.docids
+        assert (tiny_server.counters - before).searches == 0
 
-    def test_publish_on_moved_version_resolves_none(self, tiny_server):
+    def test_publish_on_moved_version_resolves_none(self):
+        """A flight launched under ``v1`` is never consumed — joined or
+        cached — by a client that validated ``v2``."""
         cache = GatewayCache()
-        client = TextClient(tiny_server, cache=cache)
-        expression = "title='belief'"
-        assert cache.claim_search_fill(expression) is None  # leader
-        result = client.search("AB='retrieval'")  # any real ResultSet
-        cache.publish_search_fill(expression, result, object())
-        # Stale fills resolve None: waiters re-dispatch, never consume
-        # results from a different data version.
-        pending = cache.claim_search_fill(expression)
-        assert pending is None or pending.wait(0.0) is None
+        table = cache.inflight
+        cache.validate("v1")
+        old = GatedServer("old-data", gated=1)
+        thread, stale = _in_thread(
+            lambda: table.fetch(old, [self.QUERY], cache, [self.KEY], "v1")
+        )
+        assert old.entered.wait(10)
+        cache.validate("v2")  # the data moved while v1's search is in flight
+        new = GatedServer("new-data")
+        assert table.fetch(new, [self.QUERY], cache, [self.KEY], "v2") == [
+            ("new-data", False)
+        ]
+        old.gate.set()
+        thread.join(10)
+        assert not thread.is_alive()
+        assert stale == [[("old-data", False)]]
+        assert cache.search.peek(self.KEY) == "new-data"  # stale fill refused
 
-    def test_wait_times_out_to_none(self):
-        assert PendingFill().wait(0.0) is None
+    def test_wait_times_out_to_none(self, monkeypatch):
+        """A flight nobody lands counts as failed: the waiter dispatches
+        its own search, and the dead flight leaves the table."""
+        monkeypatch.setattr(inflight, "_FLIGHT_TIMEOUT", 0.05)
+        table = InflightSearchTable()
+        server = GatedServer("answer", gated=1)
+        thread, _ = _in_thread(lambda: table.fetch(server, [self.QUERY]))
+        assert server.entered.wait(10)
+        assert table.fetch(server, [self.QUERY]) == [("answer", False)]
+        assert server.searches == 2
+        assert table.fetch(server, [self.QUERY]) == [("answer", False)]
+        assert server.searches == 3  # created afresh, not joined to the corpse
+        server.gate.set()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+class TestWindowedCoalescing:
+    """Regression for the PR 11 finding: with the cache's fill table in
+    front of the sharing executor, duplicates never reached the window,
+    so its population never met the inflight hint and the leader slept
+    the whole window (0.5 s here) for a search everyone already awaited."""
+
+    THREADS = 4
+    WINDOW = 0.5
+
+    def test_joiners_count_toward_the_window_population(self, tiny_server):
+        server = SlowCountingServer(tiny_server, delay=0.0)
+        cache = GatewayCache()
+        table = InflightSearchTable(
+            window_seconds=self.WINDOW, inflight_hint=lambda: self.THREADS
+        )
+        clients = [
+            TextClient(server, cache=cache, inflight=table)
+            for _ in range(self.THREADS)
+        ]
+        iterator = iter(clients)
+        started = time.monotonic()
+        results, errors = _run_threads(
+            self.THREADS, lambda: next(iterator).search("TI='belief'")
+        )
+        elapsed = time.monotonic() - started
+        assert not errors
+        assert server.searches == 1
+        assert elapsed < self.WINDOW / 2
+        assert cache.stats()["coalesced"] == self.THREADS - 1
+        alone = TextClient(tiny_server)
+        alone.search("TI='belief'")
+        for client in clients:
+            assert client.ledger.total + client.ledger.seconds_saved == (
+                pytest.approx(alone.ledger.total)
+            )
+        assert sum(1 for client in clients if client.ledger.total > 0) == 1

@@ -2,9 +2,10 @@
 
 Two layers under test:
 
-- :class:`SharedSearchExecutor` directly: identical concurrent searches
-  collapse to one backend dispatch; distinct canonical forms never
-  merge; a failed shared dispatch fans the error out to every waiter.
+- :class:`InflightSearchTable` under cache-less clients: identical
+  concurrent searches collapse to one backend dispatch; distinct
+  canonical forms never merge; a failed shared dispatch strands nobody
+  and fails only the caller whose search is at fault.
 - The full :class:`QueryService` with sharing enabled, across worker /
   shard / pool / window / cache configurations: **every tenant's
   charged ledger is bit-identical (cache off) or identity-preserving
@@ -21,12 +22,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.joinmethods import JoinContext, TupleSubstitution
-from repro.errors import GatewayError
+from repro.errors import GatewayError, ReproError
 from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
 from repro.gateway.costs import CostLedger
+from repro.gateway.inflight import InflightSearchTable
 from repro.remote import build_sharded_transport
-from repro.serving import QueryService, SharedSearchExecutor, TenantSpec
+from repro.serving import QueryService, TenantSpec
 from repro.textsys.batching import BatchingTextServer
 from repro.workload import build_default_scenario
 
@@ -129,7 +131,7 @@ def strip_side_channels(report: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the executor, in isolation
+# the table, under cache-less clients
 # ---------------------------------------------------------------------------
 class CountingServer:
     """Delegates to a real server; counts dispatches; optional failure."""
@@ -160,109 +162,137 @@ class CountingServer:
         return getattr(self._inner, name)
 
 
-def _submit_concurrently(executor, jobs):
-    """jobs: list of (query, tenant, ledger); returns (results, errors)."""
-    barrier = threading.Barrier(len(jobs))
-    results = [None] * len(jobs)
-    errors = [None] * len(jobs)
+def _search_concurrently(server, table, queries):
+    """One cache-less client per query, released together; returns
+    (clients, results, errors)."""
+    clients = [TextClient(server, inflight=table) for _ in queries]
+    barrier = threading.Barrier(len(queries))
+    results = [None] * len(queries)
+    errors = [None] * len(queries)
 
-    def runner(index, query, tenant, ledger):
+    def runner(index):
         barrier.wait()
         try:
-            results[index] = executor.submit(query, tenant, ledger)
+            results[index] = clients[index].search(queries[index])
         except Exception as error:  # noqa: BLE001 - collected for asserts
             errors[index] = error
 
     threads = [
-        threading.Thread(target=runner, args=(index, *job))
-        for index, job in enumerate(jobs)
+        threading.Thread(target=runner, args=(index,))
+        for index in range(len(queries))
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
-    return results, errors
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    return clients, results, errors
 
 
 class TestSharedSearchExecutor:
+    """The sharing behaviours of the in-flight table (the class keeps
+    the name of the executor the table replaced)."""
+
     def test_identical_searches_collapse_to_one_dispatch(self, tiny_server):
         server = CountingServer(BatchingTextServer(tiny_server))
-        executor = SharedSearchExecutor(
-            server, window_seconds=0.2, inflight_hint=lambda: 3
+        table = InflightSearchTable(
+            window_seconds=0.2, inflight_hint=lambda: 3
         )
-        ledgers = [CostLedger() for _ in range(3)]
-        results, errors = _submit_concurrently(
-            executor,
-            [
-                ("TI='belief'", f"t{i}", ledgers[i])
-                for i in range(3)
-            ],
+        clients, results, errors = _search_concurrently(
+            server, table, ["TI='belief'"] * 3
         )
         assert errors == [None, None, None]
         assert server.searches == 1
         docids = {tuple(result.docids) for result in results}
         assert len(docids) == 1
-        # Exactly the joiners carry the side-channel credit; nobody was
-        # charged anything by the executor itself (it never touches
-        # ledgers except to credit).
-        shared = [ledger.seconds_shared for ledger in ledgers]
-        assert sum(1 for s in shared if s > 0) == 2
-        assert all(ledger.total == 0.0 for ledger in ledgers)
-        snapshot = executor.stats.snapshot()
+        # Everyone is charged the alone price; exactly the joiners carry
+        # the side-channel credit for the dispatch they did not cause.
+        alone = TextClient(tiny_server)
+        alone.search("TI='belief'")
+        assert all(c.ledger.total == alone.ledger.total for c in clients)
+        shared = [client.ledger.seconds_shared for client in clients]
+        assert sorted(shared) == [0.0, alone.ledger.total, alone.ledger.total]
+        snapshot = table.stats.snapshot()
         assert snapshot["shared_searches"] == 2  # two joins, one dispatch
         assert snapshot["seconds_shared"] == pytest.approx(sum(shared))
 
     def test_distinct_canonical_forms_never_merge(self, tiny_server):
         server = CountingServer(BatchingTextServer(tiny_server))
-        executor = SharedSearchExecutor(
-            server, window_seconds=0.2, inflight_hint=lambda: 2
+        table = InflightSearchTable(
+            window_seconds=0.2, inflight_hint=lambda: 2
         )
-        ledgers = [CostLedger() for _ in range(2)]
-        results, errors = _submit_concurrently(
-            executor,
-            [
-                ("TI='belief'", "a", ledgers[0]),
-                ("AB='retrieval'", "b", ledgers[1]),
-            ],
+        clients, results, errors = _search_concurrently(
+            server, table, ["TI='belief'", "AB='retrieval'"]
         )
         assert errors == [None, None]
         # Two flights — batched into one invocation, but each query ran.
         assert server.searches == 2
+        assert server.batches == 1
         assert results[0].docids != results[1].docids
-        assert all(ledger.seconds_shared == 0.0 for ledger in ledgers)
+        assert all(c.ledger.seconds_shared == 0.0 for c in clients)
 
     def test_commuted_forms_share_one_flight(self, tiny_server):
         server = CountingServer(BatchingTextServer(tiny_server))
-        executor = SharedSearchExecutor(
-            server, window_seconds=0.2, inflight_hint=lambda: 2
+        table = InflightSearchTable(
+            window_seconds=0.2, inflight_hint=lambda: 2
         )
-        ledgers = [CostLedger() for _ in range(2)]
-        results, errors = _submit_concurrently(
-            executor,
-            [
-                ("TI='belief' and AB='update'", "a", ledgers[0]),
-                ("AB='update' and TI='belief'", "b", ledgers[1]),
-            ],
+        _, results, errors = _search_concurrently(
+            server,
+            table,
+            ["TI='belief' and AB='update'", "AB='update' and TI='belief'"],
         )
         assert errors == [None, None]
         assert server.searches == 1
         assert tuple(results[0].docids) == tuple(results[1].docids)
 
     def test_failure_fans_out_to_every_participant(self, tiny_server):
+        """A backend that is down fails everyone — the leader from its
+        own dispatch, each joiner from its one direct re-dispatch."""
         server = CountingServer(BatchingTextServer(tiny_server), fail=True)
-        executor = SharedSearchExecutor(
-            server, window_seconds=0.2, inflight_hint=lambda: 3
+        table = InflightSearchTable(
+            window_seconds=0.2, inflight_hint=lambda: 3
         )
-        results, errors = _submit_concurrently(
-            executor,
-            [("TI='belief'", f"t{i}", CostLedger()) for i in range(3)],
+        clients, results, errors = _search_concurrently(
+            server, table, ["TI='belief'"] * 3
         )
         assert results == [None, None, None]
         assert all(isinstance(error, GatewayError) for error in errors)
+        assert server.searches == 3  # one shared attempt + two fallbacks
+        assert all(client.ledger.total == 0.0 for client in clients)
         # The failed flight was removed: a retry dispatches afresh.
         server.fail = False
-        retry = executor.submit("TI='belief'", "t0", CostLedger())
+        retry = TextClient(server, inflight=table).search("TI='belief'")
         assert retry is not None
+        assert server.searches == 4
+
+    def test_poisoned_query_fails_only_its_own_caller(self, tiny_server):
+        """Two tenants in one window, one sends a search over the term
+        limit: the batch carrying both is refused, yet only the offender
+        fails — the other re-dispatches alone and is charged exactly the
+        alone price.  (Before the fallback rule the whole window failed
+        with the offender's error.)"""
+        server = CountingServer(BatchingTextServer(tiny_server))
+        table = InflightSearchTable(
+            window_seconds=0.5, inflight_hint=lambda: 2
+        )
+        poisoned = " and ".join(
+            f"TI='word{index}'" for index in range(tiny_server.term_limit + 1)
+        )
+        clients, results, errors = _search_concurrently(
+            server, table, ["TI='belief'", poisoned]
+        )
+        assert server.batches == 1  # they did share the window
+        assert errors[0] is None
+        assert tuple(results[0].docids) == tuple(
+            tiny_server.search("TI='belief'").docids
+        )
+        assert isinstance(errors[1], ReproError)
+        assert "limit" in str(errors[1])
+        alone = TextClient(tiny_server)
+        alone.search("TI='belief'")
+        assert clients[0].ledger.report() == alone.ledger.report()
+        assert clients[1].ledger.report() == CostLedger().report()
+        assert table.stats.snapshot()["shared_searches"] == 0
 
     def test_zero_window_still_single_flights(self, tiny_server):
         class SlowServer(CountingServer):
@@ -273,22 +303,18 @@ class TestSharedSearchExecutor:
                 return super().search(query)
 
         server = SlowServer(BatchingTextServer(tiny_server))
-        executor = SharedSearchExecutor(server, window_seconds=0.0)
-        results, errors = _submit_concurrently(
-            executor,
-            [("TI='belief'", f"t{i}", CostLedger()) for i in range(4)],
+        _, results, errors = _search_concurrently(
+            server, InflightSearchTable(), ["TI='belief'"] * 4
         )
         assert errors == [None] * 4
         assert server.searches == 1
         assert len({tuple(result.docids) for result in results}) == 1
 
-    def test_rejects_bad_configuration(self, tiny_server):
-        from repro.errors import ServingError
-
-        with pytest.raises(ServingError):
-            SharedSearchExecutor(tiny_server, window_seconds=-0.1)
-        with pytest.raises(ServingError):
-            SharedSearchExecutor(tiny_server, max_batch=0)
+    def test_rejects_bad_configuration(self):
+        with pytest.raises(GatewayError):
+            InflightSearchTable(window_seconds=-0.1)
+        with pytest.raises(GatewayError):
+            InflightSearchTable(max_batch=0)
 
 
 # ---------------------------------------------------------------------------

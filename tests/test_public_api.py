@@ -16,6 +16,7 @@ PACKAGES = [
     "repro.workload",
     "repro.bench",
     "repro.remote",
+    "repro.serving",
 ]
 
 
