@@ -21,7 +21,7 @@ from repro.core.joinmethods.base import JoinContext
 from repro.gateway.client import TextClient
 from repro.gateway.published import published_predicate_statistics
 from repro.gateway.sampling import sample_predicate_statistics
-from repro.textsys.batching import BatchingTextServer
+from repro.textsys.server import BooleanTextServer
 
 
 def test_batched_ts_vs_plain_ts(scenario, benchmark):
@@ -30,7 +30,9 @@ def test_batched_ts_vs_plain_ts(scenario, benchmark):
     plain_context = scenario.context()
     plain = TupleSubstitution().execute(query, plain_context)
 
-    batching_server = BatchingTextServer(scenario.server, batch_limit=50)
+    batching_server = BooleanTextServer(
+        scenario.server.store, index=scenario.server.index, batch_limit=50
+    )
     rows = []
     batched_costs = {}
     for limit in (5, 20, 50):

@@ -144,9 +144,8 @@ class _PlanRunner:
         self.context = context
         self.comparisons = 0
         self.node_actuals: List[NodeActual] = []
-        store = context.client.server.store
-        self.field_names: Tuple[str, ...] = tuple(store.field_names)
-        self.short_fields = set(store.short_fields)
+        self.field_names: Tuple[str, ...] = context.client.field_names
+        self.short_fields = set(context.client.short_fields)
         self.doc_schema = document_schema(self.field_names, query.text_source)
 
     # ------------------------------------------------------------------
@@ -315,15 +314,12 @@ class _PlanRunner:
     def _probe_batch_size(self, probe_count: int) -> int:
         """How many probes to send per invocation (1 = serial probes).
 
-        Batching needs a server with ``search_batch``; with fewer than
-        two probes the serial path is already optimal.
+        Batching needs a source that publishes a ``batch_limit``; with
+        fewer than two probes the serial path is already optimal.
         """
         if probe_count < 2:
             return 1
-        server = self.context.client.server
-        if getattr(server, "search_batch", None) is None:
-            return 1
-        return max(1, getattr(server, "batch_limit", 1))
+        return self.context.client.batch_limit or 1
 
     def _text_match_expression(self, predicate: TextJoinPredicate) -> Expression:
         return TextMatch(

@@ -210,14 +210,11 @@ def corpus_fingerprint(server: Any) -> str:
     Combines document count, the store's mutation version, and the field
     vocabulary — any corpus mutation or swap changes at least one of
     them, so stale observations are never blended into a different
-    collection's estimates.  Works on anything that quacks like a server
-    (remote transports publish the same meta properties).
+    collection's estimates.  Reads contract members only, so every view
+    of one corpus (in process, remote, sharded) yields the same string.
     """
-    count = getattr(server, "document_count", "?")
-    version = getattr(server, "data_version", "?")
-    store = getattr(server, "store", None)
-    fields = ",".join(sorted(getattr(store, "field_names", ()) or ()))
-    return f"D{count}.v{version}.f[{fields}]"
+    fields = ",".join(sorted(server.field_names))
+    return f"D{server.document_count}.v{server.data_version}.f[{fields}]"
 
 
 def query_key(query: Any) -> str:

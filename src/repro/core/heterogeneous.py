@@ -161,7 +161,7 @@ def build_vector_cost_inputs(
         expected_results=total_results / n if n else 0.0,
         top_k=predicate.top_k,
         threshold=predicate.threshold,
-        scan_visible=predicate.field in client.server.store.short_fields,
+        scan_visible=predicate.field in client.short_fields,
     )
 
 

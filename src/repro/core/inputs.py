@@ -82,7 +82,7 @@ def build_cost_inputs(
     evolve between runs without poisoning the cache.
     """
     client = context.client
-    source_kind = getattr(client, "source_kind", "boolean")
+    source_kind = client.source_kind
     if source_kind != "boolean":
         # Fail before sampling: the Section 4.2 statistics below are
         # gathered with Boolean probes a ranking backend rejects, and the
@@ -154,7 +154,7 @@ def build_cost_inputs(
         predicate_stats=predicate_stats,
         selection=selection,
         distinct_counts=distinct_counts_for(rows, columns),
-        batch_limit=getattr(client.server, "batch_limit", None),
-        rtp_fields=frozenset(client.server.store.short_fields),
+        batch_limit=client.batch_limit,
+        rtp_fields=frozenset(client.short_fields),
         source_kind=source_kind,
     )

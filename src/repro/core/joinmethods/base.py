@@ -140,7 +140,7 @@ class JoinMethod:
         raise NotImplementedError
 
     def check_applicable(self, query: TextJoinQuery, context: JoinContext) -> None:
-        ensure_method_legal(self, getattr(context.client, "source_kind", "boolean"))
+        ensure_method_legal(self, context.client.source_kind)
         if not self.applicable(query, context):
             raise JoinMethodError(f"{self.name} is not applicable to {query!r}")
 
@@ -164,7 +164,7 @@ def ensure_method_legal(method: "JoinMethod", source_kind: str) -> None:
     that ranking semantics can add, so the mismatch is a typed
     :class:`~repro.errors.OptimizationError`, never a wrong answer.
     """
-    required = getattr(method, "source_kind", "boolean")
+    required = method.source_kind
     if source_kind != required:
         raise OptimizationError(
             f"{method.name} assumes a {required!r} source (its pruning "
@@ -256,7 +256,7 @@ def rtp_fields_available(
     fields").  This is why "only two methods are universally applicable:
     TS and P+TS" (Section 7.2).
     """
-    short_fields = set(context.client.server.store.short_fields)
+    short_fields = context.client.short_fields
     return all(predicate.field in short_fields for predicate in predicates)
 
 

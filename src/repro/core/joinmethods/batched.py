@@ -2,8 +2,8 @@
 
 Ordinary TS pays one invocation per distinct joining tuple.  When the
 text system accepts multiple queries per invocation *and returns answers
-in correspondence* (:class:`~repro.textsys.batching.BatchingTextServer`),
-the same per-tuple searches can travel ``batch_limit`` at a time:
+in correspondence* (a source that publishes a ``batch_limit``), the
+same per-tuple searches can travel ``batch_limit`` at a time:
 invocation cost drops by that factor while — unlike the OR-batched
 semi-join — the tuple ↔ answer correspondence survives, so no relational
 re-matching (and no ``c_a``) is needed.
@@ -52,8 +52,8 @@ class BatchedTupleSubstitution(JoinMethod):
         return "B+TS"
 
     def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
-        """Needs a server with a batched invocation interface."""
-        return hasattr(context.client.server, "search_batch")
+        """Needs a source that takes batched invocations."""
+        return context.client.batch_limit is not None
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:
         self.check_applicable(query, context)
@@ -62,8 +62,9 @@ class BatchedTupleSubstitution(JoinMethod):
 
         rows = joining_rows(context, query)
         selections = selection_nodes(query)
-        limit = self.batch_limit or context.client.server.batch_limit
-        limit = min(limit, context.client.server.batch_limit)
+        limit = context.client.batch_limit
+        if self.batch_limit is not None:
+            limit = min(limit, self.batch_limit)
 
         groups: List[List[Row]] = []
         searches = []

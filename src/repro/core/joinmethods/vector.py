@@ -132,7 +132,7 @@ class VectorJoinStrategy:
     def check_applicable(
         self, predicate: VectorJoinPredicate, context: JoinContext
     ) -> None:
-        kind = getattr(context.client, "source_kind", "boolean")
+        kind = context.client.source_kind
         if kind != self.source_kind:
             raise JoinMethodError(
                 f"{self.name} runs against a {self.source_kind!r} backend; "
@@ -234,7 +234,7 @@ class VectorCorpusScan(VectorJoinStrategy):
     def applicable(
         self, predicate: VectorJoinPredicate, context: JoinContext
     ) -> bool:
-        return predicate.field in context.client.server.store.short_fields
+        return predicate.field in context.client.short_fields
 
     def run(
         self,

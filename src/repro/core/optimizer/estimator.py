@@ -322,8 +322,8 @@ class PlanEstimator:
             },
             selection=self._selection,
             distinct_counts=distinct_counts,
-            batch_limit=getattr(self.context.client.server, "batch_limit", None),
-            rtp_fields=frozenset(self.context.client.server.store.short_fields),
+            batch_limit=self.context.client.batch_limit,
+            rtp_fields=frozenset(self.context.client.short_fields),
         )
 
     def _synthetic_query(

@@ -71,7 +71,7 @@ def enumerate_method_choices(
     must be a proper, non-empty subset of the join columns); the pure
     probe method answers only tuple-shaped semi-joins.
     """
-    source_kind = getattr(inputs, "source_kind", "boolean")
+    source_kind = inputs.source_kind
     if source_kind != "boolean":
         # Per-backend method legality: every method below assumes Boolean
         # monotone semantics (probing prunes, semijoins batch term

@@ -13,7 +13,7 @@ from repro.gateway.cache import (
     RetrieveCache,
     SearchCache,
 )
-from repro.gateway.client import SearchCall, TextClient
+from repro.gateway.client import TextClient
 from repro.gateway.inflight import InflightSearchTable, SharingStats
 from repro.gateway.costs import (
     PAPER_CONSTANTS,
@@ -42,7 +42,6 @@ from repro.gateway.statistics import (
 
 __all__ = [
     "TextClient",
-    "SearchCall",
     "CostConstants",
     "CostLedger",
     "PAPER_CONSTANTS",

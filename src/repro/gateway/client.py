@@ -1,9 +1,12 @@
 """The metered text-system client (the foreign-function gateway).
 
 Every database-side access to the external text system goes through
-:class:`TextClient`, which forwards the call to the
-:class:`~repro.textsys.server.BooleanTextServer` and charges the
-corresponding cost into a :class:`~repro.gateway.costs.CostLedger`.
+:class:`TextClient`, which forwards the call to its
+:class:`~repro.textsys.source.TextSource` and charges the corresponding
+cost into a :class:`~repro.gateway.costs.CostLedger`.  The client also
+republishes the source's capability record (``document_count``,
+``term_limit``, ``batch_limit``, ``source_kind``, ``field_names``,
+``short_fields``), so planning and execution code never reaches past it.
 
 This is the reproduction's substitute for the paper's live network link
 between OpenODB and the CMU Mercury server: instead of paying real
@@ -30,13 +33,11 @@ Three optional layers ride on the gateway:
   nor a table every search is dispatched directly.
 - a :class:`~repro.gateway.tracing.CallTracer`: every search, probe,
   batch and retrieval becomes a span labelled with the current execution
-  phase (scan/probe/TS/SJ-batch/RTP).  The legacy ``call_log`` is now a
-  view over the trace.
+  phase (scan/probe/TS/SJ-batch/RTP).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import GatewayError
@@ -48,18 +49,9 @@ from repro.textsys.documents import Document
 from repro.textsys.parser import parse_search
 from repro.textsys.query import SearchNode
 from repro.textsys.result import ResultSet
-from repro.textsys.server import BooleanTextServer
+from repro.textsys.source import TextSource
 
-__all__ = ["TextClient", "SearchCall"]
-
-@dataclass(frozen=True)
-class SearchCall:
-    """One logged search: the expression sent and what came back."""
-
-    expression: str
-    result_size: int
-    postings_processed: int
-    cost: float
+__all__ = ["TextClient"]
 
 
 class TextClient:
@@ -76,9 +68,8 @@ class TextClient:
 
     def __init__(
         self,
-        server: BooleanTextServer,
+        server: TextSource,
         constants: Optional[CostConstants] = None,
-        log_calls: bool = False,
         cache: Optional[GatewayCache] = None,
         tracer: Optional[CallTracer] = None,
         ledger: Optional[CostLedger] = None,
@@ -110,7 +101,7 @@ class TextClient:
         self.inflight = inflight
         if inflight is None and cache is not None:
             self.inflight = cache.inflight
-        self.tracer = tracer if tracer is not None else CallTracer(enabled=log_calls)
+        self.tracer = tracer if tracer is not None else CallTracer(enabled=False)
 
     # ------------------------------------------------------------------
     # tracing support
@@ -119,34 +110,17 @@ class TextClient:
         """Context manager: attribute foreign calls inside to ``label``."""
         return self.tracer.phase(label)
 
-    @property
-    def call_log(self) -> List[SearchCall]:
-        """Legacy view: the search-shaped spans of the trace."""
-        return [
-            SearchCall(
-                expression=span.expression,
-                result_size=span.result_size,
-                postings_processed=span.postings_processed,
-                cost=span.cost,
-            )
-            for span in self.tracer.spans
-            if span.kind in ("search", "probe", "batch")
-        ]
-
     def _settle_transport(self) -> None:
-        """Drain a remote transport's retry waste and events, if any.
+        """Drain the source's retry waste and transport events.
 
-        When the server is a :class:`~repro.remote.transport.
-        RemoteTextTransport`, failed attempts' wire time and backoff
-        pauses accumulate there; this moves them into the ledger's
-        ``seconds_retried`` side channel and records each retry/breaker
-        event as a traced span.  With an in-process server this is a
-        single attribute lookup — accounting stays bit-identical.
+        Behind a :class:`~repro.remote.transport.RemoteTextTransport`,
+        failed attempts' wire time and backoff pauses accumulate there;
+        this moves them into the ledger's ``seconds_retried`` side
+        channel and records each retry/breaker event as a traced span.
+        An in-process server drains ``(0.0, ())`` — accounting stays
+        bit-identical.
         """
-        drain = getattr(self.server, "drain_accounting", None)
-        if drain is None:
-            return
-        wasted, events = drain()
+        wasted, events = self.server.drain_accounting()
         if wasted:
             self.ledger.charge_retry_waste(wasted)
         if self.tracer.enabled:
@@ -187,17 +161,10 @@ class TextClient:
         return query, query.to_expression()
 
     def _data_version(self):
-        """The cache-validation key for the current server.
-
-        Prefers the server's ``data_fingerprint`` (a ``(store uid,
-        version)`` pair that cannot collide across backends) and falls
-        back to the bare ``data_version`` counter for servers that do
-        not publish one.
-        """
-        fingerprint = getattr(self.server, "data_fingerprint", None)
-        if fingerprint is not None:
-            return fingerprint
-        return getattr(self.server, "data_version", 0)
+        """The cache-validation key: the source's ``data_fingerprint``
+        (a ``(store uid, version)`` pair cannot collide across backends
+        the way bare version counters do)."""
+        return self.server.data_fingerprint
 
     # ------------------------------------------------------------------
     # the two foreign operations
@@ -277,8 +244,7 @@ class TextClient:
     def search_batch(self, queries) -> List[ResultSet]:
         """Send many searches in ONE invocation (Section 8's proposal).
 
-        Requires the server to support ``search_batch`` (see
-        :class:`repro.textsys.batching.BatchingTextServer`).  Charges a
+        Requires a source that publishes a ``batch_limit``.  Charges a
         single ``c_i`` for the whole batch plus the usual processing and
         short-form transmission for every query's answer.  With a cache,
         only the missing queries travel; if every query hits, the whole
@@ -287,16 +253,15 @@ class TextClient:
         the in-flight table each distinct search travels once and the
         repeats join it.
         """
-        search_batch = getattr(self.server, "search_batch", None)
-        if search_batch is None:
+        if self.server.batch_limit is None:
             raise GatewayError(
-                "the text server does not support batched invocations; "
-                "wrap it in BatchingTextServer"
+                "the text source does not take batched invocations "
+                "(it publishes batch_limit=None)"
             )
         queries = list(queries)
         if self.inflight is None:
             try:
-                results = search_batch(queries)
+                results = self.server.search_batch(queries)
             finally:
                 self._settle_transport()
             postings = sum(result.postings_processed for result in results)
@@ -393,38 +358,7 @@ class TextClient:
 
     def retrieve(self, docid: str) -> Document:
         """Fetch one long-form document; charges ``c_l`` (0 on a cache hit)."""
-        version = None
-        if self.cache is not None:
-            version = self._data_version()
-            self.cache.validate(version)
-            cached = self.cache.retrieve.get(docid)
-            if cached is not None:
-                saved = self.ledger.constants.long_form
-                self.ledger.credit_saved(saved)
-                self._note_cache(hit=True)
-                self.tracer.record(
-                    "retrieve",
-                    docid,
-                    result_size=1,
-                    postings_processed=0,
-                    cost=0.0,
-                    saved=saved,
-                    cache_hit=True,
-                )
-                return cached
-            self._note_cache(hit=False)
-        try:
-            document = self.server.retrieve(docid)
-        finally:
-            self._settle_transport()
-        cost = self.ledger.charge_retrieve()
-        if self.cache is not None:
-            self.cache.put_retrieve(docid, document, version)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "retrieve", docid, result_size=1, postings_processed=0, cost=cost
-            )
-        return document
+        return self.retrieve_many([docid])[0]
 
     def retrieve_many(self, docids: Iterable[str]) -> List[Document]:
         """Fetch several long forms, one retrieval (and one ``c_l``) each.
@@ -433,24 +367,13 @@ class TextClient:
         returned list carries one :class:`Document` per *distinct*
         requested docid, in first-occurrence order.
 
-        When the server exposes a ``retrieve_many`` of its own (remote
-        and sharded transports dispatch it over their worker pools), the
-        cache-missing docids travel as ONE batched call, so the fetches
-        overlap on the wire; per-docid charges, cache fills, and traced
-        spans are identical to the one-at-a-time path.  If the batched
-        call fails, nothing is charged (the per-call path charges each
-        document as it arrives).
+        Several cache-missing docids travel as ONE ``retrieve_many``
+        call (remote and sharded transports dispatch it over their
+        worker pools, so the fetches overlap on the wire); per-docid
+        charges, cache fills, and traced spans are identical to fetching
+        one at a time.  If the call fails, nothing is charged.
         """
-        wanted: List[str] = []
-        seen = set()
-        for docid in docids:
-            if docid not in seen:
-                seen.add(docid)
-                wanted.append(docid)
-        server_many = getattr(self.server, "retrieve_many", None)
-        if server_many is None or len(wanted) < 2:
-            return [self.retrieve(docid) for docid in wanted]
-
+        wanted = list(dict.fromkeys(docids))
         documents: Dict[str, Document] = {}
         misses = wanted
         version = None
@@ -460,13 +383,12 @@ class TextClient:
             misses = []
             for docid in wanted:
                 cached = self.cache.retrieve.get(docid)
+                self._note_cache(hit=cached is not None)
                 if cached is None:
                     misses.append(docid)
-                    self._note_cache(hit=False)
                     continue
                 saved = self.ledger.constants.long_form
                 self.ledger.credit_saved(saved)
-                self._note_cache(hit=True)
                 self.tracer.record(
                     "retrieve",
                     docid,
@@ -479,7 +401,10 @@ class TextClient:
                 documents[docid] = cached
         if misses:
             try:
-                fetched = server_many(misses)
+                if len(misses) == 1:
+                    fetched = [self.server.retrieve(misses[0])]
+                else:
+                    fetched = self.server.retrieve_many(misses)
             finally:
                 self._settle_transport()
             for docid, document in zip(misses, fetched):
@@ -531,13 +456,25 @@ class TextClient:
     def source_kind(self) -> str:
         """The backend's predicate semantics: ``"boolean"`` or ``"vector"``.
 
-        Published by the server (remote transports relay it in their
-        meta frame); servers that predate the heterogeneous-backend work
-        are Boolean.  The optimizer's method-legality check reads this —
-        probe-based methods are sound only against ``"boolean"`` sources
-        (Section 8).
+        The optimizer's method-legality check reads this — probe-based
+        methods are sound only against ``"boolean"`` sources (Section 8).
         """
-        return getattr(self.server, "source_kind", "boolean")
+        return self.server.source_kind
+
+    @property
+    def batch_limit(self) -> Optional[int]:
+        """Searches per batched invocation; ``None`` = no batching."""
+        return self.server.batch_limit
+
+    @property
+    def field_names(self) -> Tuple[str, ...]:
+        """The collection's text fields."""
+        return self.server.field_names
+
+    @property
+    def short_fields(self) -> Tuple[str, ...]:
+        """The fields short-form answers carry (what RTP can match on)."""
+        return self.server.short_fields
 
     def reset_accounting(self, include_cache_stats: bool = False) -> None:
         """Zero the ledger and the trace (server counters and cache kept).

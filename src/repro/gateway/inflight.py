@@ -118,13 +118,12 @@ def _dispatch(server: Any, queries: Sequence[Query]) -> List[ResultSet]:
     """One search alone; several in ``batch_limit``-sized invocations."""
     if len(queries) == 1:
         return [server.search(queries[0])]
-    search_batch = getattr(server, "search_batch", None)
-    if search_batch is None:
+    limit = server.batch_limit
+    if limit is None:
         return [server.search(query) for query in queries]
-    limit = getattr(server, "batch_limit", None) or len(queries)
     results: List[ResultSet] = []
     for start in range(0, len(queries), limit):
-        results.extend(search_batch(queries[start : start + limit]))
+        results.extend(server.search_batch(queries[start : start + limit]))
     return results
 
 

@@ -45,7 +45,7 @@ class BackendBinding:
     @property
     def source_kind(self) -> str:
         """The backend's predicate semantics (``"boolean"``/``"vector"``)."""
-        return getattr(self.server, "source_kind", "boolean")
+        return self.server.source_kind
 
     def __repr__(self) -> str:
         return (
@@ -78,8 +78,8 @@ class BackendRegistry:
         if name in self._bindings:
             raise GatewayError(f"backend {name!r} is already registered")
         if constants is None:
-            kind = getattr(server, "source_kind", "boolean")
-            constants = VECTOR_CONSTANTS if kind == "vector" else CostConstants()
+            ranked = server.source_kind == "vector"
+            constants = VECTOR_CONSTANTS if ranked else CostConstants()
         binding = BackendBinding(
             name=name,
             server=server,

@@ -6,8 +6,7 @@ long-form retrieval as a :class:`CallSpan` — what was sent, during which
 execution phase (scan / probe / TS / SJ-batch / RTP), what it cost, and
 whether the gateway cache answered it without touching the text system.
 
-:class:`CallTracer` replaces the old ad-hoc ``call_log`` list on the
-client.  Phases are pushed with :meth:`CallTracer.phase` (a context
+Phases are pushed with :meth:`CallTracer.phase` (a context
 manager) by the executor and the join methods; spans inherit the
 innermost active phase.  The tracer stays allocated even when disabled
 so call sites never need to branch — a disabled tracer simply drops

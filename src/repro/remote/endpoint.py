@@ -2,8 +2,10 @@
 
 :class:`TextServerEndpoint` is what would run *next to* Mercury: it
 receives one request frame (a JSON string), dispatches it to the wrapped
-:class:`~repro.textsys.server.BooleanTextServer`, and encodes the answer
-(or the server-side exception) as a response frame.
+:class:`~repro.textsys.source.TextSource`, and encodes the answer (or
+the server-side exception) as a response frame.  Its ``meta`` frame
+carries the source's whole published capability record, so the client
+side of the wire never needs the in-process object.
 
 Server-side exceptions do not tear down the link: they travel back as
 typed error frames and are re-raised client-side as the same
@@ -109,11 +111,14 @@ class TextServerEndpoint:
         }
 
     def _op_meta(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        fingerprint = getattr(self.server, "data_fingerprint", None)
+        server = self.server
         return {
-            "document_count": self.server.document_count,
-            "term_limit": self.server.term_limit,
-            "data_version": getattr(self.server, "data_version", 0),
-            "data_fingerprint": list(fingerprint) if fingerprint is not None else None,
-            "source_kind": getattr(self.server, "source_kind", "boolean"),
+            "document_count": server.document_count,
+            "term_limit": server.term_limit,
+            "batch_limit": server.batch_limit,
+            "field_names": list(server.field_names),
+            "short_fields": list(server.short_fields),
+            "source_kind": server.source_kind,
+            "data_version": server.data_version,
+            "data_fingerprint": list(server.data_fingerprint),
         }

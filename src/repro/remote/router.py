@@ -1,10 +1,10 @@
 """Scatter-gather routing over a sharded text service.
 
-:class:`ShardedTextTransport` presents the full text-server API —
-``search``, ``search_batch``, ``retrieve``, ``retrieve_many``,
-``document_frequency``, published meta — over N corpus shards, each
-served by its own :class:`~repro.remote.transport.RemoteTextTransport`
-(its own channel, retry policy and circuit breaker), so it drops into a
+:class:`ShardedTextTransport` presents the
+:class:`~repro.textsys.source.TextSource` contract over N corpus
+shards, each served by its own
+:class:`~repro.remote.transport.RemoteTextTransport` (its own channel,
+retry policy and circuit breaker), so it drops into a
 :class:`~repro.gateway.client.TextClient` exactly like a single remote
 server:
 
@@ -25,9 +25,13 @@ server:
   primary's breaker keeps probing in the background of later calls, so
   a recovered primary is readopted automatically.
 
-The merged published view keeps downstream layers working unchanged:
-``document_count`` is the sum over shards, ``data_version`` is the sum
-of the shard versions (monotone — any shard mutation moves it), and
+The merged published view keeps downstream layers working unchanged.
+The static capability record is merged once, through the same
+failover-aware scatter as every other call, and then served from
+memory: ``document_count`` is the sum over shards, ``term_limit`` and
+``batch_limit`` the minimum, the rest uniform by construction.  What
+moves is scattered fresh on every read: ``data_version`` is the sum of
+the shard versions (monotone — any shard mutation moves it), and
 ``data_fingerprint`` is the tuple of per-shard fingerprints, which is
 what :class:`~repro.gateway.cache.GatewayCache` validates against.
 ``counters`` is a live merged view over every shard server (replicas
@@ -40,17 +44,18 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import CircuitOpenError, GatewayError, TextSystemError, TransportError
+from repro.errors import CircuitOpenError, GatewayError, TransportError
 from repro.remote.resilience import CircuitBreaker, RetryPolicy
 from repro.remote.transport import RemoteTextTransport, TransportEvent, TransportStats
-from repro.textsys.documents import Document
+from repro.textsys.documents import Document, DocumentStore
 from repro.textsys.parser import parse_search
 from repro.textsys.query import SearchNode
 from repro.textsys.result import ResultSet
 from repro.textsys.server import BooleanTextServer, ServerCounters
 from repro.textsys.sharding import ShardedCorpus, merge_scored_results, partition_store
-from repro.textsys.vector import VectorQuery
-from repro.textsys.vectorserver import VectorTextServer, build_vector_shard_servers
+from repro.textsys.source import DEFAULT_TERM_LIMIT, check_batch
+from repro.textsys.vector import VectorQuery, VectorStatistics
+from repro.textsys.vectorserver import VectorTextServer
 
 __all__ = [
     "ShardBackend",
@@ -138,11 +143,7 @@ class ShardedTextTransport:
     """The text-server API scatter-gathered across shard transports."""
 
     def __init__(
-        self,
-        corpus: ShardedCorpus,
-        backends: Sequence[ShardBackend],
-        *,
-        source_server: Optional[Any] = None,
+        self, corpus: ShardedCorpus, backends: Sequence[ShardBackend]
     ) -> None:
         if len(backends) != corpus.shard_count:
             raise GatewayError(
@@ -151,30 +152,14 @@ class ShardedTextTransport:
             )
         self.corpus = corpus
         self.backends = list(backends)
-        self._source_server = source_server
         self._lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pending_events: List[TransportEvent] = []
-
-    # ------------------------------------------------------------------
-    # pass-throughs: published schema and out-of-band counters
-    # ------------------------------------------------------------------
-    @property
-    def store(self):
-        """The *source* collection schema (partitioning is a snapshot)."""
-        return self.corpus.source
-
-    @property
-    def index(self):
-        if self._source_server is None:
-            raise AttributeError(
-                "this sharded transport was built without a source server; "
-                "no merged index view is available"
-            )
-        return self._source_server.index
+        self._capabilities: Optional[Dict[str, Any]] = None
 
     @property
     def counters(self) -> MergedServerCounters:
+        """Every shard server's usage counters, summed (out of band)."""
         return MergedServerCounters(
             [
                 transport.counters
@@ -200,27 +185,59 @@ class ShardedTextTransport:
     def failovers(self) -> int:
         return sum(backend.failovers for backend in self.backends)
 
-    @property
-    def batch_limit(self) -> int:
-        return min(backend.primary.batch_limit for backend in self.backends)
-
-    @property
-    def source_kind(self) -> str:
-        """The shards' predicate semantics (uniform by construction)."""
-        return self.backends[0].primary.source_kind
-
     # ------------------------------------------------------------------
     # published meta information (merged across shards)
     # ------------------------------------------------------------------
+    def _merged(self) -> Dict[str, Any]:
+        """The static capability record, merged once over live shards.
+
+        Built through :meth:`_scatter_all` so a dead primary's replica
+        answers, like for any other call; every shard transport caches
+        its own record, so later reads cost no wire frame and no pool
+        hop.
+        """
+        if self._capabilities is None:
+            shards = self._scatter_all(
+                lambda transport: {
+                    "document_count": transport.document_count,
+                    "term_limit": transport.term_limit,
+                    "batch_limit": transport.batch_limit,
+                    "source_kind": transport.source_kind,
+                    "field_names": transport.field_names,
+                    "short_fields": transport.short_fields,
+                }
+            )
+            self._capabilities = dict(
+                shards[0],
+                document_count=sum(s["document_count"] for s in shards),
+                term_limit=min(s["term_limit"] for s in shards),
+                batch_limit=min(s["batch_limit"] for s in shards),
+            )
+        return self._capabilities
+
     @property
     def document_count(self) -> int:
-        return sum(
-            self._scatter_all(lambda transport: transport.document_count)
-        )
+        return self._merged()["document_count"]
 
     @property
     def term_limit(self) -> int:
-        return min(self._scatter_all(lambda transport: transport.term_limit))
+        return self._merged()["term_limit"]
+
+    @property
+    def batch_limit(self) -> int:
+        return self._merged()["batch_limit"]
+
+    @property
+    def source_kind(self) -> str:
+        return self._merged()["source_kind"]
+
+    @property
+    def field_names(self) -> Tuple[str, ...]:
+        return self._merged()["field_names"]
+
+    @property
+    def short_fields(self) -> Tuple[str, ...]:
+        return self._merged()["short_fields"]
 
     @property
     def data_version(self) -> int:
@@ -253,13 +270,7 @@ class ShardedTextTransport:
             parse_search(query) if isinstance(query, str) else query
             for query in queries
         ]
-        if not parsed:
-            raise TextSystemError("a batch must contain at least one search")
-        if len(parsed) > self.batch_limit:
-            raise TextSystemError(
-                f"batch of {len(parsed)} searches exceeds the limit of "
-                f"{self.batch_limit}"
-            )
+        check_batch(len(parsed), self.batch_limit)
         per_shard = self._scatter_all(
             lambda transport, parsed=parsed: transport.search_batch(parsed)
         )
@@ -481,8 +492,8 @@ def build_sharded_transport(
 ) -> ShardedTextTransport:
     """Partition a corpus and stand up the whole sharded service.
 
-    Accepts either a :class:`BooleanTextServer` (whose store, term limit
-    and index are reused as the source view) or a bare
+    Accepts either an in-process server (whose store, term limit and
+    engine mode the shard servers inherit) or a bare
     :class:`~repro.textsys.documents.DocumentStore`.  Every shard gets
     ``1 + replicas`` servers over its shard store, each behind its own
     fault-injecting channel (deterministically distinct seeds derived
@@ -490,55 +501,32 @@ def build_sharded_transport(
     """
     if replicas < 0:
         raise GatewayError("replicas must be non-negative")
-    source_server = None
-    store = server_or_store
-    if isinstance(server_or_store, BooleanTextServer) or hasattr(
-        server_or_store, "store"
-    ):
-        source_server = server_or_store
-        store = server_or_store.store
+    source = None if isinstance(server_or_store, DocumentStore) else server_or_store
+    store = server_or_store if source is None else source.store
+    ranked = source is not None and source.source_kind == "vector"
     if term_limit is None:
-        term_limit = getattr(source_server, "term_limit", None)
-    if engine_mode is None:
+        term_limit = DEFAULT_TERM_LIMIT if source is None else source.term_limit
+    if engine_mode is None and source is not None and not ranked:
         # Shards inherit the source server's engine so the deployment
         # change never swaps evaluation kernels underneath the caller.
-        engine_mode = getattr(source_server, "engine_mode", None)
+        engine_mode = source.engine_mode
     corpus = partition_store(store, shards, scheme=scheme)
-    vector_field = None
-    vector_servers: List[VectorTextServer] = []
-    if getattr(source_server, "source_kind", "boolean") == "vector":
+    if ranked:
         # Vector shards must score with *global* collection statistics
         # (idf, document norms) so per-shard rankings merge into exactly
-        # the unsharded ranking; build_vector_shard_servers measures the
-        # statistics once on the source corpus and injects them.
-        vector_field = source_server.field
-        vector_servers = build_vector_shard_servers(
-            corpus,
-            vector_field,
-            term_limit=term_limit
-            if term_limit is not None
-            else source_server.term_limit,
-        )
+        # the unsharded ranking: measured once on the source corpus,
+        # injected into every shard server.
+        statistics = VectorStatistics.for_store(store, source.field)
     backends: List[ShardBackend] = []
     for shard_id, shard_store in enumerate(corpus.stores):
         shard_transports: List[RemoteTextTransport] = []
         for copy in range(1 + replicas):
-            server_kwargs = {} if term_limit is None else {"term_limit": term_limit}
-            if vector_field is not None:
-                server = (
-                    vector_servers[shard_id]
-                    if copy == 0
-                    else VectorTextServer(
-                        shard_store,
-                        vector_field,
-                        term_limit=vector_servers[shard_id].term_limit,
-                        statistics=vector_servers[shard_id].statistics,
-                    )
+            if ranked:
+                server = VectorTextServer(
+                    shard_store, source.field, term_limit, statistics
                 )
             else:
-                server = BooleanTextServer(
-                    shard_store, engine_mode=engine_mode, **server_kwargs
-                )
+                server = BooleanTextServer(shard_store, term_limit, engine_mode)
             shard_transports.append(
                 RemoteTextTransport(
                     server,
@@ -556,4 +544,4 @@ def build_sharded_transport(
         backends.append(
             ShardBackend(shard_id, shard_transports[0], shard_transports[1:])
         )
-    return ShardedTextTransport(corpus, backends, source_server=source_server)
+    return ShardedTextTransport(corpus, backends)

@@ -1,13 +1,13 @@
-"""The client side of the wire: the full text-server API over a channel.
+"""The client side of the wire: the text-source contract over a channel.
 
-:class:`RemoteTextTransport` is a drop-in replacement for the in-process
-:class:`~repro.textsys.server.BooleanTextServer` behind a
-:class:`~repro.gateway.client.TextClient`: it implements ``search``,
-``search_batch``, ``retrieve``, ``retrieve_many``,
-``document_frequency`` and the published meta information
-(``document_count``, ``term_limit``, ``data_version``) by encoding each
-operation as a wire frame, sending it over a (typically fault-injecting)
-channel, and decoding the response.
+:class:`RemoteTextTransport` is a :class:`~repro.textsys.source.
+TextSource` that drops in for the in-process server behind a
+:class:`~repro.gateway.client.TextClient`: it implements every foreign
+operation and the published capability record by encoding each as a
+wire frame, sending it over a (typically fault-injecting) channel, and
+decoding the response.  The capability record travels in the endpoint's
+``meta`` frame, so a channel-only transport knows everything a caller
+may ask.
 
 On top of the bare wire it layers the resilience machinery:
 
@@ -30,10 +30,9 @@ in-process results — so installing a transport changes wall-clock
 behaviour and adds ``seconds_retried``, but leaves ``CostLedger.total``
 bit-identical for the same answered calls.
 
-``store``, ``counters`` and ``index`` pass through to the wrapped
-in-process server: they model the *published* collection schema and the
-server-side usage counters that the reproduction's harnesses read out of
-band, not data that travels per-call.
+``counters`` passes through to the wrapped in-process server: it is the
+server-side usage view the reproduction's harnesses read out of band,
+not part of the contract and not data that travels per call.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.errors import (
     CircuitOpenError,
     GatewayError,
     RemoteProtocolError,
-    TextSystemError,
     TransportError,
 )
 from repro.remote.channel import (
@@ -66,11 +64,11 @@ from repro.remote.codec import (
 )
 from repro.remote.endpoint import TextServerEndpoint, resolve_remote_error
 from repro.remote.resilience import BREAKER_OPEN, CircuitBreaker, RetryPolicy
-from repro.textsys.batching import DEFAULT_BATCH_LIMIT
 from repro.textsys.documents import Document
 from repro.textsys.parser import parse_search
 from repro.textsys.query import SearchNode
 from repro.textsys.result import ResultSet
+from repro.textsys.source import DEFAULT_BATCH_LIMIT, check_batch
 
 __all__ = [
     "TransportEvent",
@@ -185,19 +183,9 @@ class RemoteTextTransport:
         self._transitions_seen = 0
         self._meta: Optional[Dict[str, Any]] = None
 
-    # ------------------------------------------------------------------
-    # pass-throughs: published schema and out-of-band counters
-    # ------------------------------------------------------------------
-    @property
-    def store(self):
-        return self._server.store
-
-    @property
-    def index(self):
-        return self._server.index
-
     @property
     def counters(self):
+        """The wrapped server's usage counters (out of band)."""
         return self._server.counters
 
     @property
@@ -205,16 +193,10 @@ class RemoteTextTransport:
         """The channel's fault profile (``None`` on a bare loopback)."""
         return getattr(self.channel, "profile", None)
 
-    @property
-    def batch_limit(self) -> int:
-        if self._batch_limit is not None:
-            return self._batch_limit
-        backing = getattr(self._server, "batch_limit", None)
-        return backing if backing is not None else DEFAULT_BATCH_LIMIT
-
     # ------------------------------------------------------------------
-    # published meta information (one wire call, then cached; the data
-    # version is always fetched fresh because it is what moves)
+    # published meta information: the capability record is one wire
+    # call, then cached; the data version and fingerprint are always
+    # fetched fresh because they are what moves
     # ------------------------------------------------------------------
     def _fetch_meta(self) -> Dict[str, Any]:
         return self._call("meta", {}, "meta")
@@ -234,11 +216,26 @@ class RemoteTextTransport:
 
     @property
     def source_kind(self) -> str:
-        """The backend's predicate semantics, as published in its meta.
+        return self._cached_meta()["source_kind"]
 
-        Pre-``source_kind`` endpoints omit the key; they are Boolean.
+    @property
+    def field_names(self) -> Tuple[str, ...]:
+        return tuple(self._cached_meta()["field_names"])
+
+    @property
+    def short_fields(self) -> Tuple[str, ...]:
+        return tuple(self._cached_meta()["short_fields"])
+
+    @property
+    def batch_limit(self) -> int:
+        """The constructor's value, else the source's own, else 50.
+
+        The endpoint answers a batch frame whatever the source behind it
+        takes, so a transport always offers batched invocations.
         """
-        return self._cached_meta().get("source_kind", "boolean")
+        if self._batch_limit is not None:
+            return self._batch_limit
+        return self._cached_meta()["batch_limit"] or DEFAULT_BATCH_LIMIT
 
     @property
     def data_version(self) -> int:
@@ -251,11 +248,9 @@ class RemoteTextTransport:
         Tuples travel the JSON wire as lists; they are restored here so
         the fingerprint compares equal to the in-process one.
         """
-        fingerprint = self._fetch_meta().get("data_fingerprint")
-        if fingerprint is None:
-            return None
         return tuple(
-            tuple(part) if isinstance(part, list) else part for part in fingerprint
+            tuple(part) if isinstance(part, list) else part
+            for part in self._fetch_meta()["data_fingerprint"]
         )
 
     # ------------------------------------------------------------------
@@ -279,13 +274,7 @@ class RemoteTextTransport:
             parse_search(query) if isinstance(query, str) else query
             for query in queries
         ]
-        if not parsed:
-            raise TextSystemError("a batch must contain at least one search")
-        if len(parsed) > self.batch_limit:
-            raise TextSystemError(
-                f"batch of {len(parsed)} searches exceeds the limit of "
-                f"{self.batch_limit}"
-            )
+        check_batch(len(parsed), self.batch_limit)
         frames = self._frame_split(parsed, self.batch_frame_size)
 
         def run(frame: List[SearchNode], position: int) -> List[ResultSet]:
@@ -366,8 +355,7 @@ class RemoteTextTransport:
             pool.shutdown(wait=True)
 
     def __repr__(self) -> str:
-        profile = getattr(self.channel, "profile", None)
-        name = getattr(profile, "name", "loopback")
+        name = getattr(self.profile, "name", "loopback")
         return (
             f"RemoteTextTransport({name}, pool={self.pool_size}, "
             f"breaker={self.breaker.state}, "

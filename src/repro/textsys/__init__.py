@@ -8,7 +8,6 @@ limit ``M``.
 """
 
 from repro.textsys.analysis import is_phrase, normalize_term, tokenize, tokenize_with_positions
-from repro.textsys.batching import DEFAULT_BATCH_LIMIT, BatchingTextServer
 from repro.textsys.diskindex import (
     BlockCache,
     DiskIndexBuilder,
@@ -63,7 +62,13 @@ from repro.textsys.query import (
     or_all,
 )
 from repro.textsys.result import ResultSet
-from repro.textsys.server import DEFAULT_TERM_LIMIT, BooleanTextServer, ServerCounters
+from repro.textsys.server import BooleanTextServer
+from repro.textsys.source import (
+    DEFAULT_BATCH_LIMIT,
+    DEFAULT_TERM_LIMIT,
+    ServerCounters,
+    TextSource,
+)
 from repro.textsys.sharding import (
     PARTITION_SCHEMES,
     ShardedCorpus,
@@ -116,8 +121,8 @@ __all__ = [
     "matches_document",
     "EvaluationResult",
     "ResultSet",
+    "TextSource",
     "BooleanTextServer",
-    "BatchingTextServer",
     "DEFAULT_BATCH_LIMIT",
     "ServerCounters",
     "DEFAULT_TERM_LIMIT",

@@ -9,103 +9,33 @@ exactly two operations:
   per-search basic-term limit ``M`` (Mercury allowed 70);
 - :meth:`retrieve` — fetch one document's long form by docid.
 
-The server keeps usage counters (:class:`ServerCounters`) so that callers
-— the gateway's metered client in particular — can account for
-invocations, postings processed, and documents transmitted in each form.
+Everything a store-backed server does whatever its query semantics —
+usage counters (:class:`ServerCounters`), published meta, retrieval,
+batched invocations — lives in :class:`~repro.textsys.source.
+StoreBackedSource`; this module adds the Boolean evaluation.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Optional, Union
 
-from repro.errors import SearchLimitExceeded, TextSystemError
-from repro.textsys.documents import Document, DocumentStore
+from repro.errors import TextSystemError
+from repro.textsys.documents import DocumentStore
 from repro.textsys.engine import evaluate, resolve_engine_mode
 from repro.textsys.inverted_index import InvertedIndex
 from repro.textsys.parser import parse_search
 from repro.textsys.query import SearchNode
 from repro.textsys.result import ResultSet
+from repro.textsys.source import (
+    DEFAULT_TERM_LIMIT,
+    ServerCounters,
+    StoreBackedSource,
+)
 
 __all__ = ["ServerCounters", "BooleanTextServer", "DEFAULT_TERM_LIMIT"]
 
-#: Mercury's per-search basic-term limit (Section 3.2).
-DEFAULT_TERM_LIMIT = 70
 
-
-@dataclass
-class ServerCounters:
-    """Cumulative usage counters, reset with :meth:`reset`.
-
-    Safe to update from concurrent serving workers: the per-operation
-    record methods (and ``reset``/``snapshot``) hold an internal lock,
-    so counts never lose increments when many tenants share one
-    in-process server.
-    """
-
-    searches: int = 0
-    postings_processed: int = 0
-    short_documents: int = 0
-    long_documents: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
-
-    def record_search(self, postings_processed: int, short_documents: int) -> None:
-        """Account one answered search atomically."""
-        with self._lock:
-            self.searches += 1
-            self.postings_processed += postings_processed
-            self.short_documents += short_documents
-
-    def record_retrieve(self) -> None:
-        """Account one long-form retrieval atomically."""
-        with self._lock:
-            self.long_documents += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.searches = 0
-            self.postings_processed = 0
-            self.short_documents = 0
-            self.long_documents = 0
-
-    def snapshot(self) -> "ServerCounters":
-        with self._lock:
-            return ServerCounters(
-                searches=self.searches,
-                postings_processed=self.postings_processed,
-                short_documents=self.short_documents,
-                long_documents=self.long_documents,
-            )
-
-    def as_dict(self) -> Dict[str, int]:
-        """JSON-friendly view, in declaration order."""
-        return {
-            "searches": self.searches,
-            "postings_processed": self.postings_processed,
-            "short_documents": self.short_documents,
-            "long_documents": self.long_documents,
-        }
-
-    def __sub__(self, earlier: "ServerCounters") -> "ServerCounters":
-        """The work done since ``earlier`` (usually a :meth:`snapshot`).
-
-        Lets benchmark reports diff counter snapshots —
-        ``(after - before).as_dict()`` — without hand-copying fields.
-        """
-        if not isinstance(earlier, ServerCounters):
-            return NotImplemented
-        return ServerCounters(
-            searches=self.searches - earlier.searches,
-            postings_processed=self.postings_processed - earlier.postings_processed,
-            short_documents=self.short_documents - earlier.short_documents,
-            long_documents=self.long_documents - earlier.long_documents,
-        )
-
-
-class BooleanTextServer:
+class BooleanTextServer(StoreBackedSource):
     """An inversion-based Boolean text retrieval system."""
 
     #: The predicate semantics this backend provides.  Boolean monotone
@@ -120,11 +50,9 @@ class BooleanTextServer:
         term_limit: int = DEFAULT_TERM_LIMIT,
         engine_mode: Optional[str] = None,
         index: Optional[InvertedIndex] = None,
+        batch_limit: Optional[int] = None,
     ) -> None:
-        if term_limit < 1:
-            raise TextSystemError("term limit must be at least 1")
-        self.store = store
-        self.term_limit = term_limit
+        super().__init__(store, term_limit, batch_limit)
         #: Which evaluation engine serves searches (``reference`` keeps
         #: the linear-merge oracle; ``optimized`` is charge-identical —
         #: see DESIGN.md "Engine kernels").  Defaults to the process-wide
@@ -142,37 +70,11 @@ class BooleanTextServer:
                 f"but the store holds {len(store)}"
             )
         self.index = index
-        self.counters = ServerCounters()
 
-    # ------------------------------------------------------------------
-    # the public (loose-integration) API
-    # ------------------------------------------------------------------
     @property
     def document_count(self) -> int:
-        """``D``: the size of the collection (published meta information)."""
+        """``D``: the size of the *indexed* collection."""
         return self.index.document_count
-
-    @property
-    def data_version(self) -> int:
-        """Monotone counter of collection mutations (cache invalidation).
-
-        Follows the document store's mutation stamp: any client-side
-        cache of search/retrieve results must be dropped when this
-        moves, because the same expression may now match differently.
-        """
-        return self.store.version
-
-    @property
-    def data_fingerprint(self) -> Tuple[int, int]:
-        """``(store uid, version)``: a collision-free cache-validation key.
-
-        ``data_version`` alone cannot distinguish two different stores
-        that happen to sit at the same mutation count; the fingerprint
-        pairs the version with the store's process-unique identity so a
-        client cache swapped between servers can never mistake one
-        backend's entries for another's.
-        """
-        return (self.store.uid, self.store.version)
 
     def search(self, query: Union[SearchNode, str]) -> ResultSet:
         """Run one Boolean search; returns the short-form result set.
@@ -182,34 +84,13 @@ class BooleanTextServer:
         """
         if isinstance(query, str):
             query = parse_search(query)
-        used = query.term_count()
-        if used > self.term_limit:
-            raise SearchLimitExceeded(
-                f"search uses {used} basic terms; the limit is {self.term_limit}"
-            )
+        self._check_term_limit(query)
         outcome = evaluate(self.index, query, mode=self.engine_mode)
         docid_of = self.index.docid_of
-        docids = tuple(docid_of(doc) for doc in outcome.postings.doc_array)
-        documents = tuple(
-            self.store.get(docid).short_form(self.store.short_fields)
-            for docid in docids
+        return self._answer(
+            tuple(docid_of(doc) for doc in outcome.postings.doc_array),
+            outcome.postings_processed,
         )
-        self.counters.record_search(outcome.postings_processed, len(docids))
-        return ResultSet(
-            docids=docids,
-            documents=documents,
-            postings_processed=outcome.postings_processed,
-        )
-
-    def retrieve(self, docid: str) -> Document:
-        """Fetch one document's long form by docid."""
-        document = self.store.get(docid)
-        self.counters.record_retrieve()
-        return document
-
-    def retrieve_many(self, docids: Iterable[str]) -> List[Document]:
-        """Fetch several long forms (each is a separate retrieval)."""
-        return [self.retrieve(docid) for docid in docids]
 
     # ------------------------------------------------------------------
     # meta information (Section 2.3 allows extracting statistics)
@@ -226,5 +107,5 @@ class BooleanTextServer:
     def __repr__(self) -> str:
         return (
             f"BooleanTextServer({self.document_count} documents, "
-            f"fields={list(self.store.field_names)}, M={self.term_limit})"
+            f"fields={list(self.field_names)}, M={self.term_limit})"
         )

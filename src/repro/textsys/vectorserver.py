@@ -24,19 +24,19 @@ server exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.errors import SearchLimitExceeded, TextSystemError
-from repro.textsys.documents import Document, DocumentStore
+from repro.errors import TextSystemError
+from repro.textsys.documents import DocumentStore
 from repro.textsys.result import ResultSet
-from repro.textsys.server import DEFAULT_TERM_LIMIT, ServerCounters
 from repro.textsys.sharding import ShardedCorpus
+from repro.textsys.source import DEFAULT_TERM_LIMIT, StoreBackedSource
 from repro.textsys.vector import VectorQuery, VectorSpaceEngine, VectorStatistics
 
 __all__ = ["VectorTextServer", "build_vector_shard_servers"]
 
 
-class VectorTextServer:
+class VectorTextServer(StoreBackedSource):
     """A similarity-ranking text server over one field of a collection."""
 
     #: The predicate semantics this backend provides.  The optimizer's
@@ -51,17 +51,13 @@ class VectorTextServer:
         term_limit: int = DEFAULT_TERM_LIMIT,
         statistics: Optional[VectorStatistics] = None,
     ) -> None:
-        if term_limit < 1:
-            raise TextSystemError("term limit must be at least 1")
+        super().__init__(store, term_limit)
         if not store.has_field(field):
             raise TextSystemError(
                 f"the store has no field {field!r} to rank on"
             )
-        self.store = store
         self.field = field
-        self.term_limit = term_limit
         self.statistics = statistics
-        self.counters = ServerCounters()
         self._engine: Optional[VectorSpaceEngine] = None
         self._engine_version: Optional[int] = None
 
@@ -81,24 +77,6 @@ class VectorTextServer:
             self._engine_version = self.store.version
         return self._engine
 
-    # ------------------------------------------------------------------
-    # the public (loose-integration) API
-    # ------------------------------------------------------------------
-    @property
-    def document_count(self) -> int:
-        """The size of the *local* collection (sums across shards)."""
-        return len(self.store)
-
-    @property
-    def data_version(self) -> int:
-        """Monotone counter of collection mutations (cache invalidation)."""
-        return self.store.version
-
-    @property
-    def data_fingerprint(self) -> Tuple[int, int]:
-        """``(store uid, version)``: a collision-free cache-validation key."""
-        return (self.store.uid, self.store.version)
-
     def search(self, query: VectorQuery) -> ResultSet:
         """Run one similarity search; returns the scored short-form set.
 
@@ -116,36 +94,15 @@ class VectorTextServer:
                 f"this vector server ranks field {self.field!r}, "
                 f"not {query.field!r}"
             )
-        used = query.term_count()
-        if used > self.term_limit:
-            raise SearchLimitExceeded(
-                f"search uses {used} basic terms; the limit is {self.term_limit}"
-            )
+        self._check_term_limit(query)
         outcome = self.engine.counted_search(
             query.terms, top_k=query.top_k, threshold=query.threshold
         )
-        docids = tuple(entry.docid for entry in outcome.scored)
-        documents = tuple(
-            self.store.get(docid).short_form(self.store.short_fields)
-            for docid in docids
-        )
-        self.counters.record_search(outcome.postings_processed, len(docids))
-        return ResultSet(
-            docids=docids,
-            documents=documents,
-            postings_processed=outcome.postings_processed,
+        return self._answer(
+            tuple(entry.docid for entry in outcome.scored),
+            outcome.postings_processed,
             scores=tuple(entry.score for entry in outcome.scored),
         )
-
-    def retrieve(self, docid: str) -> Document:
-        """Fetch one document's long form by docid."""
-        document = self.store.get(docid)
-        self.counters.record_retrieve()
-        return document
-
-    def retrieve_many(self, docids: Iterable[str]) -> List[Document]:
-        """Fetch several long forms (each is a separate retrieval)."""
-        return [self.retrieve(docid) for docid in docids]
 
     # ------------------------------------------------------------------
     # meta information (Section 2.3 allows extracting statistics)

@@ -95,7 +95,6 @@ class Scenario:
 
     def client(
         self,
-        log_calls: bool = False,
         cache: Optional[GatewayCache] = None,
         tracer: Optional[CallTracer] = None,
     ) -> TextClient:
@@ -103,21 +102,19 @@ class Scenario:
         return TextClient(
             self.server,
             constants=self.constants,
-            log_calls=log_calls,
             cache=cache if cache is not None else self.shared_cache,
             tracer=tracer if tracer is not None else self.shared_tracer,
         )
 
     def context(
         self,
-        log_calls: bool = False,
         cache: Optional[GatewayCache] = None,
         tracer: Optional[CallTracer] = None,
     ) -> JoinContext:
         """A fresh execution context (new client, shared catalog)."""
         return JoinContext(
             self.catalog,
-            self.client(log_calls=log_calls, cache=cache, tracer=tracer),
+            self.client(cache=cache, tracer=tracer),
         )
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.core.costmodel import cost_ts
 from repro.core.query import TextJoinPredicate, TextJoinQuery, TextSelection
 from repro.errors import JoinMethodError
 from repro.gateway.client import TextClient
-from repro.textsys.batching import BatchingTextServer
+from repro.textsys.server import BooleanTextServer
 
 
 def query():
@@ -29,7 +29,7 @@ def query():
 @pytest.fixture
 def batched_context(tiny_catalog, tiny_server):
     return JoinContext(
-        tiny_catalog, TextClient(BatchingTextServer(tiny_server, batch_limit=3))
+        tiny_catalog, TextClient(BooleanTextServer(tiny_server.store, batch_limit=3))
     )
 
 

@@ -20,10 +20,10 @@ from repro.core.optimizer.multiquery import MultiJoinQuery
 from repro.core.optimizer.plan import ProbeNode, ScanNode, TextScanNode
 from repro.core.query import TextJoinPredicate, TextSelection
 from repro.gateway.client import TextClient
+from repro.gateway.tracing import CallTracer
 from repro.relational.catalog import Catalog
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from repro.textsys.batching import BatchingTextServer
 from repro.textsys.documents import DocumentStore
 from repro.textsys.server import BooleanTextServer
 
@@ -89,7 +89,7 @@ class TestProbeBatching:
             BooleanTextServer(make_store())
         )
         batched_names, batched_client = probe_fixture(
-            BatchingTextServer(BooleanTextServer(make_store()))
+            BooleanTextServer(make_store(), batch_limit=50)
         )
         assert batched_names == serial_names
         # Same postings work travelled; only the invocation count drops.
@@ -102,7 +102,7 @@ class TestProbeBatching:
 
     def test_probes_chunk_by_batch_limit(self):
         """batch_limit=4 splits six probes into ceil(6/4)=2 invocations."""
-        server = BatchingTextServer(BooleanTextServer(make_store()), 4)
+        server = BooleanTextServer(make_store(), batch_limit=4)
         names, client = probe_fixture(server)
         assert names == SURVIVORS
         assert client.ledger.searches == 2
@@ -126,7 +126,7 @@ class TestProbeBatching:
             probe_predicates=(TextJoinPredicate("author.name", "author"),),
         )
         context = JoinContext(
-            catalog, TextClient(BatchingTextServer(BooleanTextServer(make_store())))
+            catalog, TextClient(BooleanTextServer(make_store(), batch_limit=50))
         )
         execution = execute_plan(plan, query, context)
         assert execution.rows == []
@@ -134,7 +134,7 @@ class TestProbeBatching:
         assert context.client.ledger.total == 0.0
 
     def test_probe_trace_phase_preserved(self):
-        server = BatchingTextServer(BooleanTextServer(make_store()))
+        server = BooleanTextServer(make_store(), batch_limit=50)
         catalog = Catalog()
         author = catalog.create_table(
             "author", Schema.of(("name", DataType.VARCHAR))
@@ -150,7 +150,7 @@ class TestProbeBatching:
             probe_columns=("author.name",),
             probe_predicates=(TextJoinPredicate("author.name", "author"),),
         )
-        client = TextClient(server, log_calls=True)
+        client = TextClient(server, tracer=CallTracer())
         context = JoinContext(catalog, client)
         execute_plan(plan, query, context)
         batch_spans = [
@@ -251,7 +251,7 @@ class TestBatchSizeSelection:
 
     def test_single_probe_stays_serial_even_when_batching_exists(self):
         """One probe gains nothing from a batch invocation."""
-        server = BatchingTextServer(BooleanTextServer(make_store()))
+        server = BooleanTextServer(make_store(), batch_limit=50)
         catalog = Catalog()
         author = catalog.create_table(
             "author", Schema.of(("name", DataType.VARCHAR))
@@ -267,7 +267,7 @@ class TestBatchSizeSelection:
             probe_columns=("author.name",),
             probe_predicates=(TextJoinPredicate("author.name", "author"),),
         )
-        client = TextClient(server, log_calls=True)
+        client = TextClient(server, tracer=CallTracer())
         context = JoinContext(catalog, client)
         execute_plan(plan, query, context)
         probe_spans = [

@@ -103,6 +103,8 @@ def test_equal_keys_mean_identical_server_answers(
 class _CountingBackend:
     """Answers every search with its own rendering; counts dispatches."""
 
+    batch_limit = 50
+
     def __init__(self):
         self.searches = 0
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.gateway.client import TextClient
+from repro.gateway.tracing import CallTracer
 from repro.textsys.query import TermQuery
 
 
@@ -62,26 +63,30 @@ class TestCallLog:
     def test_log_disabled_by_default(self, tiny_server):
         client = TextClient(tiny_server)
         client.search("TI='belief'")
-        assert client.call_log == []
+        assert client.tracer.spans == []
 
     def test_log_records_expressions(self, tiny_server):
-        client = TextClient(tiny_server, log_calls=True)
+        client = TextClient(tiny_server, tracer=CallTracer())
         client.search(TermQuery("title", "belief"))
         client.search("TI='zzz'")
-        assert len(client.call_log) == 2
-        assert client.call_log[0].expression == "title='belief'"
-        assert client.call_log[0].result_size == 2
-        assert client.call_log[1].result_size == 0
+        first, second = client.tracer.spans
+        assert first.expression == "title='belief'"
+        assert first.result_size == 2
+        assert second.result_size == 0
 
     def test_reset_accounting(self, tiny_server):
-        client = TextClient(tiny_server, log_calls=True)
+        client = TextClient(tiny_server, tracer=CallTracer())
         client.search("TI='belief'")
         client.reset_accounting()
         assert client.ledger.total == 0
-        assert client.call_log == []
+        assert client.tracer.spans == []
 
 
 def test_meta_properties(tiny_server):
     client = TextClient(tiny_server)
     assert client.document_count == 4
     assert client.term_limit == 70
+    assert client.batch_limit is None
+    assert client.source_kind == "boolean"
+    assert client.field_names == ("title", "author", "abstract", "year")
+    assert client.short_fields == ("title", "author", "year")

@@ -24,7 +24,7 @@ from repro.gateway import inflight
 from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
 from repro.gateway.inflight import InflightSearchTable
-from repro.textsys.batching import BatchingTextServer
+from repro.textsys.server import BooleanTextServer
 
 
 class SlowCountingServer:
@@ -158,7 +158,7 @@ class TestSingleFlightSearch:
     def test_batch_misses_coalesce_across_tickets(
         self, tiny_server, switch_fast
     ):
-        server = SlowCountingServer(BatchingTextServer(tiny_server))
+        server = SlowCountingServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         cache = GatewayCache()
         clients = [
             TextClient(server, cache=cache) for _ in range(self.THREADS)

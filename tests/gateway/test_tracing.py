@@ -86,15 +86,16 @@ class TestClientIntegration:
         assert tracer.spans[1].saved == pytest.approx(tracer.spans[0].cost)
 
     def test_call_log_is_a_view_over_the_trace(self, tiny_server):
-        client = TextClient(tiny_server, log_calls=True)
+        """What ``call_log`` used to show is the search-kind spans."""
+        client = TextClient(tiny_server, tracer=CallTracer())
         client.search("TI='belief'")
         client.retrieve("d1")
-        assert len(client.tracer.spans) == 2
-        assert len(client.call_log) == 1  # retrievals are not search calls
-        assert client.call_log[0].expression == "title='belief'"
+        search, retrieve = client.tracer.spans
+        assert (search.kind, search.expression) == ("search", "title='belief'")
+        assert (retrieve.kind, retrieve.expression) == ("retrieve", "d1")
 
     def test_reset_accounting_clears_the_trace(self, tiny_server):
-        client = TextClient(tiny_server, log_calls=True)
+        client = TextClient(tiny_server, tracer=CallTracer())
         client.search("TI='belief'")
         client.reset_accounting()
         assert client.tracer.spans == []

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.joinmethods import JoinContext, SemiJoinRtp, TupleSubstitution
+from repro.core.query import TextJoinPredicate, TextJoinQuery, TextSelection
 from repro.errors import GatewayError, TextSystemError, UnknownDocumentError
 from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
@@ -151,14 +153,6 @@ class TestMergedView:
         with pytest.raises(GatewayError):
             build_sharded_transport(tiny_store, 2, replicas=-1)
 
-    def test_index_requires_a_source_server(self, tiny_store, tiny_server):
-        bare = make_sharded(tiny_store, shards=2)
-        with pytest.raises(AttributeError):
-            bare.index
-        with_server = make_sharded(tiny_server, shards=2)
-        assert with_server.index is tiny_server.index
-        assert with_server.store is tiny_server.store
-
     def test_report_and_repr(self, tiny_server):
         transport = make_sharded(tiny_server, shards=2, replicas=1)
         transport.search(BELIEF)
@@ -174,9 +168,8 @@ class TestMergedView:
 
 class TestClientIntegration:
     def test_ledger_total_bit_identical_to_single_server(self, tiny_store):
-        from repro.textsys.batching import BatchingTextServer
 
-        baseline = TextClient(BatchingTextServer(BooleanTextServer(tiny_store)))
+        baseline = TextClient(BooleanTextServer(tiny_store, batch_limit=50))
         sharded = TextClient(make_sharded(tiny_store, shards=4))
         for client in (baseline, sharded):
             first = client.search(BELIEF)
@@ -220,6 +213,26 @@ class TestFailover:
         assert "failover" in kinds
         # Draining cleared the router's pending events.
         assert transport.drain_accounting()[1] == []
+
+    def test_join_methods_run_over_dead_primaries(
+        self, tiny_store, tiny_catalog, tiny_context
+    ):
+        """Regression: ``source_kind``/``batch_limit`` read the dead
+        primary directly, so ``check_applicable`` died with a
+        ``TransportError`` although every search failed over."""
+        query = TextJoinQuery(
+            relation="student",
+            join_predicates=(TextJoinPredicate("student.name", "author"),),
+            text_selections=(TextSelection("belief update", "title"),),
+        )
+        for method in (TupleSubstitution(), SemiJoinRtp()):
+            transport = make_failover_transport(tiny_store)
+            context = JoinContext(tiny_catalog, TextClient(transport))
+            remote = method.execute(query, context)
+            local = method.execute(query, tiny_context)
+            assert remote.result_keys() == local.result_keys()
+            assert remote.cost.total == local.cost.total
+            assert transport.failovers >= len(transport.backends)
 
     def test_retrievals_fail_over_too(self, tiny_store):
         transport = make_failover_transport(tiny_store)

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.core.feedback import corpus_fingerprint
+from repro.core.joinmethods import JoinContext, ProbeRtp
+from repro.core.query import TextJoinPredicate, TextJoinQuery
 from repro.errors import (
     CircuitOpenError,
     RemoteProtocolError,
@@ -20,7 +23,6 @@ from repro.remote.codec import encode_response
 from repro.remote.endpoint import TextServerEndpoint
 from repro.remote.resilience import CircuitBreaker, RetryPolicy
 from repro.remote.transport import RemoteTextTransport, install_transport
-from repro.textsys.batching import BatchingTextServer
 from repro.textsys.parser import parse_search
 from repro.textsys.server import BooleanTextServer
 
@@ -136,17 +138,18 @@ class FailNthOnce(LoopbackChannel):
 
 class TestRetries:
     def test_only_the_failed_frame_is_resent(self, tiny_server):
-        # 6 queries in frames of 2 -> frames 1..3; frame 2 fails once.
-        channel = FailNthOnce(TextServerEndpoint(tiny_server).handle, fail_at=2)
+        # The capability record (one meta frame) travels first; then 6
+        # queries in frames of 2 -> frames 2..4; frame 3 fails once.
+        channel = FailNthOnce(TextServerEndpoint(tiny_server).handle, fail_at=3)
         transport = RemoteTextTransport(channel=channel, batch_frame_size=2)
         queries = [BELIEF, UPDATE, SYSTEMS, BELIEF, UPDATE, SYSTEMS]
         results = transport.search_batch(queries)
         assert [r.docids for r in results] == [
             tiny_server.search(q).docids for q in queries
         ]
-        # 3 frames + 1 retry travelled; the server answered exactly 3.
-        assert channel.stats.frames_sent == 4
-        assert channel.stats.frames_delivered == 3
+        # meta + 3 frames + 1 retry travelled; the server answered 3.
+        assert channel.stats.frames_sent == 5
+        assert channel.stats.frames_delivered == 4
         assert transport.stats.retries == 1
         assert transport.stats.seconds_retried > 0.0
 
@@ -273,7 +276,7 @@ class TestClientIntegration:
         return client
 
     def test_flaky_transport_same_results_and_totals(self, tiny_store):
-        local_server = BatchingTextServer(BooleanTextServer(tiny_store))
+        local_server = BooleanTextServer(tiny_store, batch_limit=50)
         local = self.run_workload(TextClient(local_server))
 
         remote_server = BooleanTextServer(tiny_store)
@@ -310,8 +313,34 @@ class TestClientIntegration:
         kinds = {span.kind for span in client.tracer.spans}
         assert "retry" in kinds
         assert all(
-            call.expression == "title='belief'" for call in client.call_log
-        )  # retry spans stay out of the legacy view
+            span.expression == "title='belief'"
+            for span in client.tracer.spans
+            if span.kind == "search"
+        )  # retry events never masquerade as searches
+
+    def test_channel_only_transport_runs_rtp_and_shares_the_fingerprint(
+        self, tiny_server, tiny_catalog, tiny_context
+    ):
+        """Regression: a channel-only transport has no in-process server
+        to reach into, so RTP-family methods died on ``.store`` and
+        ``corpus_fingerprint`` lost the field vocabulary."""
+        channel = LoopbackChannel(TextServerEndpoint(tiny_server).handle)
+        transport = RemoteTextTransport(channel=channel)
+        assert corpus_fingerprint(transport) == corpus_fingerprint(tiny_server)
+        query = TextJoinQuery(
+            relation="student",
+            join_predicates=(
+                TextJoinPredicate("student.name", "author"),
+                TextJoinPredicate("student.advisor", "author"),
+            ),
+        )
+        method = ProbeRtp(("student.name",))
+        remote = method.execute(
+            query, JoinContext(tiny_catalog, TextClient(transport))
+        )
+        local = method.execute(query, tiny_context)
+        assert remote.result_keys() == local.result_keys() != set()
+        assert remote.cost.total == local.cost.total
 
     def test_install_transport(self, tiny_server):
         client = TextClient(tiny_server)

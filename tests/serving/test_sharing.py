@@ -29,7 +29,7 @@ from repro.gateway.costs import CostLedger
 from repro.gateway.inflight import InflightSearchTable
 from repro.remote import build_sharded_transport
 from repro.serving import QueryService, TenantSpec
-from repro.textsys.batching import BatchingTextServer
+from repro.textsys.server import BooleanTextServer
 from repro.workload import build_default_scenario
 
 #: Side channels: real seconds avoided, never part of the charged total.
@@ -194,7 +194,7 @@ class TestSharedSearchExecutor:
     the name of the executor the table replaced)."""
 
     def test_identical_searches_collapse_to_one_dispatch(self, tiny_server):
-        server = CountingServer(BatchingTextServer(tiny_server))
+        server = CountingServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         table = InflightSearchTable(
             window_seconds=0.2, inflight_hint=lambda: 3
         )
@@ -217,7 +217,7 @@ class TestSharedSearchExecutor:
         assert snapshot["seconds_shared"] == pytest.approx(sum(shared))
 
     def test_distinct_canonical_forms_never_merge(self, tiny_server):
-        server = CountingServer(BatchingTextServer(tiny_server))
+        server = CountingServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         table = InflightSearchTable(
             window_seconds=0.2, inflight_hint=lambda: 2
         )
@@ -232,7 +232,7 @@ class TestSharedSearchExecutor:
         assert all(c.ledger.seconds_shared == 0.0 for c in clients)
 
     def test_commuted_forms_share_one_flight(self, tiny_server):
-        server = CountingServer(BatchingTextServer(tiny_server))
+        server = CountingServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         table = InflightSearchTable(
             window_seconds=0.2, inflight_hint=lambda: 2
         )
@@ -248,7 +248,7 @@ class TestSharedSearchExecutor:
     def test_failure_fans_out_to_every_participant(self, tiny_server):
         """A backend that is down fails everyone — the leader from its
         own dispatch, each joiner from its one direct re-dispatch."""
-        server = CountingServer(BatchingTextServer(tiny_server), fail=True)
+        server = CountingServer(BooleanTextServer(tiny_server.store, batch_limit=50), fail=True)
         table = InflightSearchTable(
             window_seconds=0.2, inflight_hint=lambda: 3
         )
@@ -271,7 +271,7 @@ class TestSharedSearchExecutor:
         fails — the other re-dispatches alone and is charged exactly the
         alone price.  (Before the fallback rule the whole window failed
         with the offender's error.)"""
-        server = CountingServer(BatchingTextServer(tiny_server))
+        server = CountingServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         table = InflightSearchTable(
             window_seconds=0.5, inflight_hint=lambda: 2
         )
@@ -302,7 +302,7 @@ class TestSharedSearchExecutor:
                 time.sleep(0.03)
                 return super().search(query)
 
-        server = SlowServer(BatchingTextServer(tiny_server))
+        server = SlowServer(BooleanTextServer(tiny_server.store, batch_limit=50))
         _, results, errors = _search_concurrently(
             server, InflightSearchTable(), ["TI='belief'"] * 4
         )

@@ -48,6 +48,21 @@ def test_top_level_surface():
     assert repro.__version__ == "1.0.0"
 
 
+def test_text_source_contract_surface():
+    """The contract is public; what it replaced is gone."""
+    from repro import gateway, textsys
+
+    assert textsys.TextSource is importlib.import_module(
+        "repro.textsys.source"
+    ).TextSource
+    for module, name in (
+        (textsys, "BatchingTextServer"),
+        (gateway, "SearchCall"),
+        (gateway.TextClient, "call_log"),
+    ):
+        assert not hasattr(module, name), name
+
+
 def test_core_extension_surface():
     from repro import core
 

@@ -6,6 +6,7 @@ interpreter-version-specific binary noise — it churns every diff and can
 shadow real source changes on import.
 """
 
+import ast
 import shutil
 import subprocess
 from pathlib import Path
@@ -60,3 +61,49 @@ def test_gitignore_covers_bytecode():
     gitignore = (REPO_ROOT / ".gitignore").read_text().splitlines()
     assert "__pycache__/" in gitignore
     assert any(line in ("*.pyc", "*.py[cod]") for line in gitignore)
+
+
+#: The members of ``repro.textsys.source.TextSource`` plus the
+#: in-process attributes callers used to reach for past the contract.
+CONTRACT_MEMBERS = {
+    "search_batch",
+    "batch_limit",
+    "retrieve_many",
+    "drain_accounting",
+    "data_version",
+    "data_fingerprint",
+    "source_kind",
+    "document_count",
+    "term_limit",
+    "field_names",
+    "short_fields",
+    "store",
+    "index",
+    "engine_mode",
+}
+
+
+def test_no_capability_probing():
+    """A source publishes its capabilities; callers read them.
+
+    ``getattr(server, "search_batch", None)``-style discovery is how the
+    contract came to be re-declared in every caller, so any
+    ``getattr``/``hasattr`` naming a contract member fails here.
+    """
+    offenders = []
+    for package in ("core", "gateway", "serving", "remote"):
+        for path in sorted((REPO_ROOT / "src" / "repro" / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in CONTRACT_MEMBERS
+                ):
+                    offenders.append(
+                        f"{path.relative_to(REPO_ROOT)}:{node.lineno} "
+                        f"{node.func.id}(..., {node.args[1].value!r})"
+                    )
+    assert offenders == [], "capability probes:\n" + "\n".join(offenders)

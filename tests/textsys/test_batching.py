@@ -4,12 +4,13 @@ import pytest
 
 from repro.errors import SearchLimitExceeded, TextSystemError
 from repro.gateway.client import TextClient
-from repro.textsys.batching import BatchingTextServer
+from repro.gateway.tracing import CallTracer
+from repro.textsys.server import BooleanTextServer
 
 
 @pytest.fixture
 def batching(tiny_server):
-    return BatchingTextServer(tiny_server, batch_limit=3)
+    return BooleanTextServer(tiny_server.store, batch_limit=3)
 
 
 class TestServer:
@@ -28,17 +29,16 @@ class TestServer:
             batching.search_batch([])
 
     def test_per_search_term_limit_still_applies(self, tiny_store):
-        from repro.textsys.server import BooleanTextServer
-
-        server = BatchingTextServer(BooleanTextServer(tiny_store, term_limit=1))
+        server = BooleanTextServer(tiny_store, term_limit=1, batch_limit=50)
         with pytest.raises(SearchLimitExceeded):
             server.search_batch(["TI='belief' and TI='update'"])
 
     def test_invalid_limit(self, tiny_server):
         with pytest.raises(TextSystemError):
-            BatchingTextServer(tiny_server, batch_limit=0)
+            BooleanTextServer(tiny_server.store, batch_limit=0)
 
     def test_passthrough_operations(self, batching):
+        """A batch limit adds ``search_batch``; nothing else changes."""
         assert batching.document_count == 4
         assert batching.term_limit == 70
         assert len(batching.search("TI='belief'")) == 2
@@ -74,6 +74,7 @@ class TestClientAccounting:
             client.search_batch(["TI='belief'"])
 
     def test_call_log_entry(self, batching):
-        client = TextClient(batching, log_calls=True)
+        client = TextClient(batching, tracer=CallTracer())
         client.search_batch(["TI='belief'"])
-        assert client.call_log[0].expression == "<batch of 1>"
+        (span,) = client.tracer.spans
+        assert (span.kind, span.expression) == ("batch", "<batch of 1>")
