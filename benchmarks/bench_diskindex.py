@@ -16,7 +16,10 @@ The acceptance benchmark for :mod:`repro.textsys.diskindex`:
 - **charge identity** (DESIGN invariant 13): at a comparison size the
   same queries run against the in-memory :class:`InvertedIndex` —
   docids, ``postings_processed``, and ``pages_read`` must be
-  bit-identical to the disk engine's.
+  bit-identical to the disk engine's;
+- **codec kernels**: every posting block of the comparison index is
+  re-encoded and decoded in isolation — µs per block for each kernel —
+  and each block's docids must round-trip.
 
 Run standalone for the full million-document measurement, or
 ``--smoke`` for a seconds-long CI pass (identity asserted, RSS
@@ -35,6 +38,7 @@ from typing import Dict, List, Tuple
 
 from repro.bench.reporting import ascii_table
 from repro.textsys.diskindex import DiskIndexBuilder, DiskInvertedIndex
+from repro.textsys.diskindex.codec import decode_block_docs, encode_block
 from repro.textsys.documents import DocumentStore
 from repro.textsys.engine import evaluate
 from repro.textsys.inverted_index import InvertedIndex
@@ -149,6 +153,38 @@ def assert_charge_identity(
         return {"pages": disk.pages_read, "documents": docs}
 
 
+def codec_kernels(path: Path) -> Dict[str, float]:
+    """Encode and decode every block of the index at ``path`` in
+    isolation, one term at a time; each block must round-trip."""
+    blocks = postings = 0
+    encode_seconds = decode_seconds = 0.0
+    with DiskInvertedIndex(path) as index:
+        for field in index.field_names:
+            for term in index.vocabulary(field):
+                term_postings = list(index.lookup(field, term))
+                prev_last = -1
+                for start in range(0, len(term_postings), index.block_size):
+                    chunk = term_postings[start : start + index.block_size]
+                    docs = [posting.doc for posting in chunk]
+                    positions = [posting.positions for posting in chunk]
+                    started = time.perf_counter()
+                    buf = encode_block(docs, positions, prev_last)
+                    encoded = time.perf_counter()
+                    actual = decode_block_docs(buf, prev_last)
+                    decode_seconds += time.perf_counter() - encoded
+                    encode_seconds += encoded - started
+                    assert list(actual) == docs
+                    prev_last = docs[-1]
+                    blocks += 1
+                    postings += len(docs)
+    return {
+        "blocks": blocks,
+        "postings_per_block": round(postings / blocks, 1),
+        "decode_us": round(decode_seconds / blocks * 1e6, 2),
+        "encode_us": round(encode_seconds / blocks * 1e6, 2),
+    }
+
+
 def report(build: Dict, passes, cache_stats, rss_mb: float, budget_mb: int):
     print(
         ascii_table(
@@ -259,8 +295,22 @@ def main(argv=None) -> int:
         assert warm["postings"] == cold["postings"]
 
         oracle = assert_charge_identity(comparison, tmp, seed=options.seed)
-        rss = peak_rss_mb()
+        rss = peak_rss_mb()  # before the kernel row's own scaffolding
+        kernels = codec_kernels(tmp / "comparison.idx")
         report(build, passes, cache_stats, rss, options.budget_mb)
+        print(
+            ascii_table(
+                ["blocks", "postings/block", "decode us/block", "encode us/block"],
+                [[
+                    kernels["blocks"],
+                    kernels["postings_per_block"],
+                    kernels["decode_us"],
+                    kernels["encode_us"],
+                ]],
+                title="codec kernels over the comparison index's blocks "
+                "(each block round-trips)",
+            )
+        )
         print(
             f"identity OK at {oracle['documents']} documents: disk engine "
             "bit-identical to in-memory (docids, postings, pages)"

@@ -26,11 +26,28 @@ every gap is ≥ 1 and each block decodes independently given its skip
 entry.  ``doc_bytes_len`` lets the reader decode docids without touching
 the positions section (Boolean merges never need positions) and,
 symmetrically, skip straight to positions when only those are wanted.
+
+**Kernels.**  A tag byte has 256 values, so the layout of a full group
+is looked up, not interpreted: :data:`_GROUP_CODECS` maps each tag to a
+precompiled :class:`struct.Struct` for its four widths, and a full group
+is one table lookup plus one C call in either direction (the decoder
+reads the 1–3 values of a trailing partial group one by one; the encoder
+zero-fills that group and drops the fill bytes).  One property of the
+bytes themselves selects a bulk path: a docid section whose length is
+exactly ``n_docs + ceil(n_docs / 4)`` with all-zero tags holds only
+one-byte gaps (dense lists), so deleting every fifth byte *is* the
+decode.  Positions are plain LEB128, read one varint at a time.  Every
+path reads the same ``repro-diskindex-v1`` bytes, and every malformed
+block — truncated, a docid section that does not end where the header
+says, ordinals past 63 bits — raises
+:class:`~repro.errors.TextSystemError`.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
+from itertools import accumulate
 from typing import List, Sequence, Tuple
 
 from repro.errors import TextSystemError
@@ -50,6 +67,24 @@ _MAX_U64 = (1 << 64) - 1
 
 #: Group-varint width table: 2-bit code -> byte width.
 _GROUP_WIDTHS = (1, 2, 4, 8)
+
+#: The same widths as little-endian :mod:`struct` format characters.
+_GROUP_FORMATS = "BHIQ"
+
+
+def _group_codec(tag: int):
+    layout = struct.Struct(
+        "<" + "".join(_GROUP_FORMATS[(tag >> shift) & 0x3] for shift in (0, 2, 4, 6))
+    )
+    return layout.unpack_from, layout.pack, 1 + layout.size
+
+
+#: tag byte -> (unpack_from, pack, group length in bytes including the
+#: tag) for a full group of four values.
+_GROUP_CODECS = tuple(_group_codec(tag) for tag in range(256))
+
+#: ``int.bit_length()`` -> 2-bit width code; indexing past 64 bits raises.
+_CODE_BY_BIT_LENGTH = (0,) * 9 + (1,) * 8 + (2,) * 16 + (3,) * 32
 
 
 # ----------------------------------------------------------------------
@@ -74,22 +109,26 @@ def encode_uvarint(value: int) -> bytes:
 
 def read_uvarint(buf, pos: int) -> Tuple[int, int]:
     """Decode one varint at ``pos``; returns ``(value, next_pos)``."""
-    shift = 0
-    value = 0
-    while True:
-        try:
-            byte = buf[pos]
-        except IndexError:
-            raise TextSystemError("truncated uvarint") from None
+    try:
+        value = buf[pos]
         pos += 1
-        value |= (byte & 0x7F) << shift
-        if byte < 0x80:
-            if value > _MAX_U64:
-                raise TextSystemError("uvarint overflows 64 bits")
+        if value < 0x80:
             return value, pos
-        shift += 7
-        if shift > 63:
-            raise TextSystemError("uvarint overflows 64 bits")
+        value &= 0x7F
+        shift = 7
+        while True:
+            byte = buf[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 0x80:
+                if value > _MAX_U64:
+                    raise TextSystemError("uvarint overflows 64 bits")
+                return value, pos
+            shift += 7
+            if shift > 63:
+                raise TextSystemError("uvarint overflows 64 bits")
+    except IndexError:
+        raise TextSystemError("truncated uvarint") from None
 
 
 # ----------------------------------------------------------------------
@@ -99,53 +138,63 @@ def encode_group(values: Sequence[int]) -> bytes:
     """Encode a sequence of unsigned 64-bit ints as group varints.
 
     Values are packed in groups of four behind a tag byte; a trailing
-    partial group is zero-padded (the decoder is told the true count).
+    partial group writes its tag and only the values it has — no pad
+    bytes — and the decoder is told the true count.
     """
     out = bytearray()
-    append = out.append
-    total = len(values)
-    for start in range(0, total, 4):
-        group = values[start : start + 4]
-        tag = 0
-        parts: List[bytes] = []
-        for slot, value in enumerate(group):
+    codes = _CODE_BY_BIT_LENGTH
+    # Fill the last group with zeros (code 0, one byte each) so every
+    # group packs as a full one; the fill bytes are dropped at the end.
+    fill = -len(values) & 3
+    if fill:
+        values = list(values) + [0] * fill
+    try:
+        for start in range(0, len(values), 4):
+            a, b, c, d = values[start : start + 4]
+            tag = (
+                codes[a.bit_length()]
+                | codes[b.bit_length()] << 2
+                | codes[c.bit_length()] << 4
+                | codes[d.bit_length()] << 6
+            )
+            out.append(tag)
+            out += _GROUP_CODECS[tag][1](a, b, c, d)
+    except (IndexError, struct.error):
+        # A bit length past 64 misses the code table; a negative value
+        # is refused by the unsigned struct format.
+        for value in values:
             if value < 0 or value > _MAX_U64:
-                raise TextSystemError(f"group varint value out of range: {value}")
-            if value < 0x100:
-                code = 0
-            elif value < 0x10000:
-                code = 1
-            elif value < 0x100000000:
-                code = 2
-            else:
-                code = 3
-            tag |= code << (2 * slot)
-            parts.append(value.to_bytes(_GROUP_WIDTHS[code], "little"))
-        append(tag)
-        for part in parts:
-            out += part
+                raise TextSystemError(
+                    f"group varint value out of range: {value}"
+                ) from None
+        raise
+    if fill:
+        del out[-fill:]
     return bytes(out)
 
 
 def decode_group(buf, pos: int, count: int) -> Tuple[List[int], int]:
     """Decode ``count`` group-varint values at ``pos``."""
     values: List[int] = []
-    append = values.append
-    from_bytes = int.from_bytes
-    remaining = count
+    extend = values.extend
+    codecs = _GROUP_CODECS
     try:
-        while remaining > 0:
+        for _ in range(count >> 2):
+            unpack_from, _pack, length = codecs[buf[pos]]
+            extend(unpack_from(buf, pos + 1))
+            pos += length
+        remaining = count & 3
+        if remaining:
             tag = buf[pos]
             pos += 1
-            for slot in range(min(4, remaining)):
+            for slot in range(remaining):
                 width = _GROUP_WIDTHS[(tag >> (2 * slot)) & 0x3]
                 chunk = bytes(buf[pos : pos + width])
                 if len(chunk) != width:
                     raise TextSystemError("truncated group varint")
-                append(from_bytes(chunk, "little"))
+                values.append(int.from_bytes(chunk, "little"))
                 pos += width
-            remaining -= 4
-    except IndexError:
+    except (IndexError, struct.error):
         raise TextSystemError("truncated group varint") from None
     return values, pos
 
@@ -203,15 +252,29 @@ def encode_block(
 
 def decode_block_docs(buf, prev_last: int) -> array:
     """Decode just the docid ordinals of one block into an ``array('q')``."""
-    n_docs, pos = read_uvarint(buf, 0)
-    _, pos = read_uvarint(buf, pos)  # doc_bytes_len (unused on this path)
-    gaps, _ = decode_group(buf, pos, n_docs)
-    docs = array("q")
-    append = docs.append
-    current = prev_last
-    for gap in gaps:
-        current += gap
-        append(current)
+    n_docs, start = read_uvarint(buf, 0)
+    doc_bytes_len, start = read_uvarint(buf, start)
+    if n_docs < 1:
+        raise TextSystemError("corrupt posting block")
+    end = start + doc_bytes_len
+    gaps = None
+    if doc_bytes_len == n_docs + ((n_docs + 3) >> 2):
+        # Only one-byte gaps fit in this length; with every tag zero the
+        # section is the gaps themselves plus a tag every fifth byte.
+        section = bytearray(buf[start:end])
+        if len(section) == doc_bytes_len and not any(section[::5]):
+            del section[::5]
+            gaps = section
+    if gaps is None:
+        gaps, stop = decode_group(buf, start, n_docs)
+        if stop != end:
+            raise TextSystemError("corrupt posting block")
+    try:
+        # array() fills from a list faster than from a bare iterator.
+        docs = array("q", list(accumulate(gaps, initial=prev_last)))
+    except OverflowError:
+        raise TextSystemError("corrupt posting block") from None
+    del docs[0]  # the seed, not a posting
     return docs
 
 

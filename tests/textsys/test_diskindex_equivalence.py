@@ -15,12 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from repro.gateway.client import TextClient
 from repro.textsys.diskindex import DiskInvertedIndex, build_disk_index
+from repro.textsys.documents import Document
 from repro.textsys.engine import evaluate
 from repro.textsys.inverted_index import InvertedIndex
 from repro.textsys.server import BooleanTextServer
 from repro.textsys.sharding import build_shard_servers, partition_store
 
-from tests.textsys.test_engine_equivalence import random_query, random_store
+from tests.textsys.test_engine_equivalence import (
+    WORDS,
+    random_query,
+    random_store,
+)
 
 
 def run_engine(index, query, mode):
@@ -34,9 +39,14 @@ def run_engine(index, query, mode):
 @given(seed=st.integers(0, 10_000))
 def test_disk_engine_is_charge_identical(seed, tmp_path_factory):
     """Engine-level identity over random corpora, queries, and disk-index
-    physical parameters (block size, spill threshold, cache, I/O mode)."""
+    physical parameters (block size, spill threshold, cache, I/O mode).
+
+    One document's body runs past 128 words, so the phrase and
+    proximity queries also read positions stored as two-byte varints."""
     rng = random.Random(seed)
     store = random_store(rng, rng.randint(1, 18))
+    long_body = " ".join(rng.choices(WORDS, k=rng.randint(140, 200)))
+    store.add(Document("long", {"title": "", "body": long_body}))
     path = tmp_path_factory.mktemp("inv13") / f"s{seed}.idx"
     build_disk_index(
         store,
