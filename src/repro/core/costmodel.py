@@ -106,17 +106,13 @@ class QueryCostInputs:
     batch_limit: Optional[int] = None
     #: Fields visible in short-form results (``None`` = all).  RTP-family
     #: methods can only string-match predicates on visible fields.
-    rtp_fields: Optional[FrozenSet[str]] = None
+    short_fields: Optional[FrozenSet[str]] = None
     #: The backend's predicate semantics.  The Section 3–5 method space
     #: is priced for Boolean sources only; the enumerator refuses these
-    #: inputs for any other kind (per-backend method legality).
+    #: inputs for any other kind (per-backend method legality).  With
+    #: ``batch_limit`` and ``short_fields``, the capability members a
+    #: client carries under the same names and ``applies`` rules read.
     source_kind: str = "boolean"
-
-    def fields_visible(self, fields) -> bool:
-        """Can RTP see all of these fields in short-form documents?"""
-        if self.rtp_fields is None:
-            return True
-        return set(fields) <= set(self.rtp_fields)
 
     # ------------------------------------------------------------------
     # statistics accessors
@@ -465,6 +461,15 @@ class VectorCostInputs:
     top_k: Optional[int] = 10
     threshold: float = 0.0
     scan_visible: bool = True
+
+    #: These inputs price the ``"vector"`` method space only.
+    source_kind = "vector"
+
+    @property
+    def short_fields(self) -> Optional[FrozenSet[str]]:
+        """What ``applies`` rules read: one ranked field, so one bit of
+        visibility — everything (``None``) or nothing."""
+        return None if self.scan_visible else frozenset()
 
     def __post_init__(self) -> None:
         if self.binding_count < 0:

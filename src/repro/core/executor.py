@@ -127,7 +127,10 @@ class PlanExecution:
         return self.cost.total + join_comparison_cost * self.relational_comparisons
 
     def result_keys(self) -> frozenset:
-        return frozenset(row.values for row in self.rows)
+        """Each row as its ``(column, value)`` set: two plans that join
+        the same relations in a different order produce equal keys."""
+        names = self.schema.names()
+        return frozenset(frozenset(zip(names, row.values)) for row in self.rows)
 
     def __repr__(self) -> str:
         return (

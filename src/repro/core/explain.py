@@ -8,14 +8,41 @@ downstream user reads before trusting a plan.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 from repro.bench.reporting import ascii_table
 from repro.core.costmodel import QueryCostInputs
-from repro.core.optimizer.single_join import enumerate_method_choices
+from repro.core.optimizer.single_join import MethodChoice, enumerate_method_choices
 from repro.core.query import TextJoinQuery
 
-__all__ = ["explain_query"]
+__all__ = ["explain_query", "method_table"]
+
+
+def method_table(title: str, choices: Sequence[MethodChoice]) -> str:
+    """Ranked method choices with their Section-4 cost components — the
+    one renderer behind every EXPLAIN's method ranking."""
+    rows = []
+    for rank, choice in enumerate(choices, start=1):
+        estimate = choice.estimate
+        rows.append(
+            [
+                rank,
+                estimate.method,
+                round(estimate.total, 2),
+                round(estimate.invocation, 2),
+                round(estimate.processing, 2),
+                round(estimate.transmission_short, 2),
+                round(estimate.transmission_long, 2),
+                round(estimate.rtp, 2),
+                round(estimate.searches, 1),
+            ]
+        )
+    return ascii_table(
+        ["#", "method", "total", "invoke", "process", "short", "long",
+         "rtp", "searches"],
+        rows,
+        title=title,
+    )
 
 
 def explain_query(
@@ -75,31 +102,8 @@ def explain_query(
     choices = enumerate_method_choices(
         query, inputs, exhaustive_probes=exhaustive_probes
     )
-    method_rows = []
-    for rank, choice in enumerate(choices, start=1):
-        estimate = choice.estimate
-        method_rows.append(
-            [
-                rank,
-                estimate.method,
-                round(estimate.total, 2),
-                round(estimate.invocation, 2),
-                round(estimate.processing, 2),
-                round(estimate.transmission_short, 2),
-                round(estimate.transmission_long, 2),
-                round(estimate.rtp, 2),
-                round(estimate.searches, 1),
-            ]
-        )
     lines.append("")
-    lines.append(
-        ascii_table(
-            ["#", "method", "total", "invoke", "process", "short", "long",
-             "rtp", "searches"],
-            method_rows,
-            title="Method ranking (predicted seconds)",
-        )
-    )
+    lines.append(method_table("Method ranking (predicted seconds)", choices))
     lines.append("")
     lines.append(f"Chosen: {choices[0].estimate.method}")
 

@@ -11,9 +11,9 @@ backend:
 - the Boolean half keeps the full Section 3–5 space (TS, RTP, SJ,
   probing variants), priced by :func:`~repro.core.optimizer.
   enumerate_method_choices` with the Boolean backend's constants;
-- the ranked half gets the V-TOPK / V-SCAN strategies only, priced by
-  :func:`~repro.core.costmodel.cost_vector_topk` /
-  :func:`~repro.core.costmodel.cost_vector_scan` with the vector
+- the ranked half gets the V-TOPK / V-SCAN strategies only — the
+  ``"vector"`` rows of the same method-space table, ranked by the same
+  :func:`~repro.core.optimizer.enumerate_method_choices` with the vector
   backend's constants.
 
 Execution runs the Boolean winner first (it is selective: a tuple with
@@ -27,38 +27,29 @@ multibackend scenario asserts on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.bench.reporting import ascii_table
-from repro.core.costmodel import (
-    CostEstimate,
-    VectorCostInputs,
-    cost_vector_scan,
-    cost_vector_topk,
-)
+from repro.core.costmodel import VectorCostInputs
+from repro.core.explain import method_table
 from repro.core.inputs import build_cost_inputs
-from repro.core.joinmethods.base import JoinContext, MethodExecution
-from repro.core.joinmethods.vector import (
-    VectorCorpusScan,
-    VectorExecution,
-    VectorJoinStrategy,
-    VectorTopKProbe,
-    vector_joining_rows,
+from repro.core.joinmethods.base import (
+    JoinContext,
+    MethodExecution,
+    ensure_plannable,
+    rtp_fields_available,
 )
+from repro.core.joinmethods.vector import VectorExecution, vector_joining_rows
 from repro.core.optimizer.single_join import MethodChoice, enumerate_method_choices
 from repro.core.query import ResultShape, TextJoinQuery, VectorJoinPredicate
-from repro.errors import OptimizationError, PlanError
+from repro.errors import PlanError
 from repro.relational.row import Row
 from repro.textsys.analysis import tokenize
 
 __all__ = [
     "HeterogeneousJoinQuery",
-    "VectorMethodChoice",
     "HeterogeneousPlan",
     "HeterogeneousExecution",
     "build_vector_cost_inputs",
-    "enumerate_vector_choices",
-    "choose_vector_strategy",
     "plan_heterogeneous",
     "execute_heterogeneous",
     "explain_heterogeneous",
@@ -96,21 +87,6 @@ class HeterogeneousJoinQuery:
         )
 
 
-@dataclass(frozen=True)
-class VectorMethodChoice:
-    """A configured vector strategy with its predicted cost."""
-
-    strategy: VectorJoinStrategy
-    estimate: CostEstimate
-
-    @property
-    def name(self) -> str:
-        return self.estimate.method
-
-    def __repr__(self) -> str:
-        return f"VectorMethodChoice({self.name}, {self.estimate.total:.2f}s)"
-
-
 def build_vector_cost_inputs(
     predicate: VectorJoinPredicate,
     rows: Sequence[Row],
@@ -127,6 +103,7 @@ def build_vector_cost_inputs(
     only when V-TOPK is expected to be significantly worse.
     """
     client = context.client
+    ensure_plannable(predicate.source_kind, client)
     bindings: List[str] = []
     seen = set()
     for row in rows:
@@ -161,33 +138,8 @@ def build_vector_cost_inputs(
         expected_results=total_results / n if n else 0.0,
         top_k=predicate.top_k,
         threshold=predicate.threshold,
-        scan_visible=predicate.field in client.short_fields,
+        scan_visible=rtp_fields_available(client, (predicate,)),
     )
-
-
-def enumerate_vector_choices(
-    predicate: VectorJoinPredicate, inputs: VectorCostInputs
-) -> List[VectorMethodChoice]:
-    """Every applicable vector strategy, ranked cheapest first."""
-    choices = [VectorMethodChoice(VectorTopKProbe(), cost_vector_topk(inputs))]
-    if inputs.scan_visible:
-        choices.append(
-            VectorMethodChoice(VectorCorpusScan(), cost_vector_scan(inputs))
-        )
-    choices.sort(key=lambda choice: choice.estimate.total)
-    return choices
-
-
-def choose_vector_strategy(
-    predicate: VectorJoinPredicate, inputs: VectorCostInputs
-) -> VectorMethodChoice:
-    """The cheapest applicable vector strategy."""
-    choices = enumerate_vector_choices(predicate, inputs)
-    if not choices:
-        raise OptimizationError(
-            f"no applicable vector strategy for {predicate!r}"
-        )
-    return choices[0]
 
 
 @dataclass
@@ -196,7 +148,7 @@ class HeterogeneousPlan:
 
     query: HeterogeneousJoinQuery
     boolean_choices: List[MethodChoice]
-    vector_choices: List[VectorMethodChoice]
+    vector_choices: List[MethodChoice]
     boolean_inputs: object = None
     vector_inputs: Optional[VectorCostInputs] = None
 
@@ -205,7 +157,7 @@ class HeterogeneousPlan:
         return self.boolean_choices[0]
 
     @property
-    def vector_choice(self) -> VectorMethodChoice:
+    def vector_choice(self) -> MethodChoice:
         return self.vector_choices[0]
 
     @property
@@ -249,19 +201,11 @@ def plan_heterogeneous(
     boolean_choices = enumerate_method_choices(
         query.boolean, boolean_inputs, exhaustive_probes=exhaustive_probes
     )
-    if not boolean_choices:
-        raise OptimizationError(
-            f"no applicable join method for {query.boolean!r}"
-        )
     rows = vector_joining_rows(
         vector_context, query.relation, base_query=query.boolean
     )
     vector_inputs = build_vector_cost_inputs(query.vector, rows, vector_context)
-    vector_choices = enumerate_vector_choices(query.vector, vector_inputs)
-    if not vector_choices:
-        raise OptimizationError(
-            f"no applicable vector strategy for {query.vector!r}"
-        )
+    vector_choices = enumerate_method_choices(query.vector, vector_inputs)
     return HeterogeneousPlan(
         query=query,
         boolean_choices=boolean_choices,
@@ -326,7 +270,7 @@ def execute_heterogeneous(
         query.boolean, boolean_context
     )
     survivors = boolean_execution.tuples
-    vector_execution = plan.vector_choice.strategy.run(
+    vector_execution = plan.vector_choice.method.run(
         query.vector, survivors, vector_context
     )
     row_matches = [
@@ -349,30 +293,6 @@ def explain_heterogeneous(plan: HeterogeneousPlan) -> str:
     lines.append(f"Heterogeneous query over relation {query.relation!r}")
     lines.append(f"  Boolean half: {query.boolean!r}")
     lines.append(f"  Vector half:  {query.vector!r}")
-
-    def method_table(title: str, choices) -> str:
-        rows = []
-        for rank, choice in enumerate(choices, start=1):
-            estimate = choice.estimate
-            rows.append(
-                [
-                    rank,
-                    estimate.method,
-                    round(estimate.total, 2),
-                    round(estimate.invocation, 2),
-                    round(estimate.processing, 2),
-                    round(estimate.transmission_short, 2),
-                    round(estimate.rtp, 2),
-                    round(estimate.searches, 1),
-                ]
-            )
-        return ascii_table(
-            ["#", "method", "total", "invoke", "process", "short", "rtp",
-             "searches"],
-            rows,
-            title=title,
-        )
-
     lines.append("")
     lines.append(
         method_table(

@@ -2,7 +2,7 @@
 
 The optimizer needs relational statistics (``N``, distinct counts) and
 text statistics (``s_i``, ``f_i`` per predicate, selection result sizes).
-This module gathers them:
+This module gathers them, for every planner alike:
 
 - relational statistics are computed exactly from the joining relation —
   a cheap local operation any DBMS catalog supports;
@@ -20,12 +20,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.core.costmodel import QueryCostInputs, SelectionStatistics
-from repro.core.joinmethods.base import JoinContext, joining_rows, selection_nodes
-from repro.core.query import TextJoinQuery
-from repro.errors import OptimizationError
+from repro.core.feedback import corpus_fingerprint
+from repro.core.joinmethods.base import (
+    JoinContext,
+    ensure_plannable,
+    joining_rows,
+    selection_node,
+)
+from repro.core.query import TextJoinPredicate, TextJoinQuery, TextSelection
+from repro.gateway.client import TextClient
 from repro.gateway.sampling import (
     exact_predicate_statistics,
     sample_predicate_statistics,
@@ -34,7 +40,13 @@ from repro.gateway.statistics import PredicateStatistics, TextStatisticsRegistry
 from repro.relational.row import Row
 from repro.textsys.query import and_all
 
-__all__ = ["build_cost_inputs", "distinct_counts_for"]
+__all__ = [
+    "build_cost_inputs",
+    "distinct_counts_for",
+    "source_capabilities",
+    "selection_statistics",
+    "predicate_statistics",
+]
 
 
 def distinct_counts_for(
@@ -58,6 +70,85 @@ def distinct_counts_for(
     return counts
 
 
+def source_capabilities(client: TextClient) -> Dict[str, Any]:
+    """The capability half of :class:`QueryCostInputs`, read off a client.
+
+    Every Boolean planner calls this first, so it carries the plan-time
+    guard: a non-Boolean backend is refused before any statistics call.
+    """
+    ensure_plannable("boolean", client)
+    return dict(
+        constants=client.ledger.constants,
+        document_count=client.document_count,
+        term_limit=client.term_limit,
+        batch_limit=client.batch_limit,
+        short_fields=frozenset(client.short_fields),
+        source_kind=client.source_kind,
+    )
+
+
+def selection_statistics(
+    selections: Sequence[TextSelection], client: TextClient
+) -> SelectionStatistics:
+    """``E_sel`` / ``I_sel``: one search of the selection conjunction."""
+    if not selections:
+        return SelectionStatistics.absent()
+    nodes = [selection_node(selection) for selection in selections]
+    result = client.server.search(and_all(nodes))
+    return SelectionStatistics(
+        result_size=float(len(result)),
+        postings=float(result.postings_processed),
+        term_count=sum(node.term_count() for node in nodes),
+        present=True,
+    )
+
+
+def predicate_statistics(
+    predicates: Sequence[TextJoinPredicate],
+    rows_for: Callable[[TextJoinPredicate], Sequence[Row]],
+    client: TextClient,
+    registry: Optional[TextStatisticsRegistry] = None,
+    exact: bool = True,
+    sample_size: int = 20,
+    rng: Optional[random.Random] = None,
+    feedback=None,
+) -> Dict[str, PredicateStatistics]:
+    """``s_i`` / ``f_i`` per join column: from the registry, else measured.
+
+    Column values are read from ``rows_for(predicate)`` only on a
+    registry miss.  ``feedback`` (a :class:`~repro.core.feedback.
+    FeedbackStore`) blends observed execution statistics into each
+    prior — the registry keeps the *unblended* prior, so feedback
+    weighting can evolve between runs without poisoning the cache.
+    """
+    gathered: Dict[str, PredicateStatistics] = {}
+    for predicate in predicates:
+        column, field = predicate.column, predicate.field
+        if registry is not None and registry.has(column, field):
+            stats = registry.get(column, field)
+        else:
+            values = [row[column] for row in rows_for(predicate)]
+            if not any(value is not None for value in values):
+                # An all-NULL join column never matches anything.
+                stats = PredicateStatistics(
+                    column=column, field=field, selectivity=0.0, fanout=0.0
+                )
+            elif exact:
+                stats = exact_predicate_statistics(
+                    client.server, column, field, values
+                )
+            else:
+                stats = sample_predicate_statistics(
+                    client, column, field, values, sample_size=sample_size, rng=rng
+                )
+            if registry is not None:
+                registry.put(stats)
+        if feedback is not None:
+            stats = feedback.blend(stats, corpus_fingerprint(client.server))
+        gathered[column] = stats
+    return gathered
+
+
 def build_cost_inputs(
     query: TextJoinQuery,
     context: JoinContext,
@@ -74,87 +165,27 @@ def build_cost_inputs(
     experiments) predicate statistics are computed over every distinct
     column value via the server's meta interface.  With ``exact=False``
     they are estimated by metered sampling through the client.  Either
-    way, results are cached in ``registry`` when one is provided.
-
-    ``feedback`` (a :class:`~repro.core.feedback.FeedbackStore`) blends
-    observed execution statistics into each predicate's prior — the
-    registry keeps the *unblended* prior, so feedback weighting can
-    evolve between runs without poisoning the cache.
+    way, results are cached in ``registry`` when one is provided, and
+    ``feedback`` blends observed statistics into each prior (see
+    :func:`predicate_statistics`).
     """
     client = context.client
-    source_kind = client.source_kind
-    if source_kind != "boolean":
-        # Fail before sampling: the Section 4.2 statistics below are
-        # gathered with Boolean probes a ranking backend rejects, and the
-        # Section 3 method space they feed is unsound there anyway
-        # (Section 8).  Ranked predicates go through
-        # ``build_vector_cost_inputs`` in ``repro.core.heterogeneous``.
-        raise OptimizationError(
-            f"Boolean cost inputs cannot be gathered from a "
-            f"{source_kind!r} backend; use the heterogeneous planner's "
-            f"vector strategy space instead"
-        )
+    capabilities = source_capabilities(client)
     rows = joining_rows(context, query)
-    columns = query.join_columns
-
-    predicate_stats: Dict[str, PredicateStatistics] = {}
-    for predicate in query.join_predicates:
-        stats: Optional[PredicateStatistics] = None
-        if registry is not None and registry.has(predicate.column, predicate.field):
-            stats = registry.get(predicate.column, predicate.field)
-        if stats is None:
-            values = [row[predicate.column] for row in rows]
-            if not any(value is not None for value in values):
-                # An all-NULL join column never matches anything.
-                stats = PredicateStatistics(
-                    column=predicate.column,
-                    field=predicate.field,
-                    selectivity=0.0,
-                    fanout=0.0,
-                )
-            elif exact:
-                stats = exact_predicate_statistics(
-                    client.server, predicate.column, predicate.field, values
-                )
-            else:
-                stats = sample_predicate_statistics(
-                    client,
-                    predicate.column,
-                    predicate.field,
-                    values,
-                    sample_size=sample_size,
-                    rng=rng,
-                )
-            if registry is not None:
-                registry.put(stats)
-        if feedback is not None:
-            from repro.core.feedback import corpus_fingerprint
-
-            stats = feedback.blend(stats, corpus_fingerprint(client.server))
-        predicate_stats[predicate.column] = stats
-
-    if query.text_selections:
-        nodes = selection_nodes(query)
-        result = client.server.search(and_all(nodes))
-        selection = SelectionStatistics(
-            result_size=float(len(result)),
-            postings=float(result.postings_processed),
-            term_count=sum(node.term_count() for node in nodes),
-            present=True,
-        )
-    else:
-        selection = SelectionStatistics.absent()
-
     return QueryCostInputs(
-        constants=client.ledger.constants,
-        document_count=client.document_count,
-        term_limit=client.term_limit,
         g=g,
         tuple_count=len(rows),
-        predicate_stats=predicate_stats,
-        selection=selection,
-        distinct_counts=distinct_counts_for(rows, columns),
-        batch_limit=client.batch_limit,
-        rtp_fields=frozenset(client.short_fields),
-        source_kind=source_kind,
+        predicate_stats=predicate_statistics(
+            query.join_predicates,
+            lambda predicate: rows,
+            client,
+            registry=registry,
+            exact=exact,
+            sample_size=sample_size,
+            rng=rng,
+            feedback=feedback,
+        ),
+        selection=selection_statistics(query.text_selections, client),
+        distinct_counts=distinct_counts_for(rows, query.join_columns),
+        **capabilities,
     )

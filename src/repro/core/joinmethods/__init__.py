@@ -9,10 +9,11 @@
 - :class:`ProbeTupleSubstitution` (P+TS), :class:`ProbeRtp` (P+RTP),
   :class:`ProbeSemiJoin` — probing-based methods that prune fail-queries.
 
-Ranked (vector) backends get a separate strategy space —
+Ranked (vector) backends get a separate method space —
 :class:`VectorTopKProbe` (V-TOPK) and :class:`VectorCorpusScan` (V-SCAN)
 — because every Section 3 method assumes Boolean monotone semantics;
-:func:`ensure_method_legal` enforces the split.
+:func:`ensure_method_legal` enforces the split at run time (its
+plan-time twin is :func:`~repro.core.joinmethods.base.ensure_plannable`).
 """
 
 from repro.core.joinmethods.base import (

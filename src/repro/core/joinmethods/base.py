@@ -15,7 +15,8 @@ they return identical results:
 - relational text processing (:func:`rtp_match`) checks a join value
   against a fetched document using the *same* word-level semantics as
   the text system, implemented with SQL-style string matching on the
-  relational side.
+  relational side (:func:`~repro.core.textmatch.value_matches_field`) —
+  the text system's own evaluators are never called from here.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from repro.core.query import (
     TextJoinQuery,
     TextSelection,
 )
-from repro.errors import JoinMethodError, OptimizationError
+from repro.core.textmatch import value_matches_field
+from repro.errors import JoinMethodError, OptimizationError, ReproError
 from repro.gateway.client import TextClient
 from repro.gateway.costs import CostLedger
 from repro.relational.catalog import Catalog
 from repro.relational.row import Row
 from repro.textsys.analysis import tokenize
 from repro.textsys.documents import Document
-from repro.textsys.engine import matches_document
 from repro.textsys.parser import term_node
 from repro.textsys.query import SearchNode, data_term
 
@@ -47,6 +48,7 @@ __all__ = [
     "MethodExecution",
     "JoinMethod",
     "ensure_method_legal",
+    "ensure_plannable",
     "effective_term_limit",
     "joining_rows",
     "selection_node",
@@ -135,9 +137,28 @@ class JoinMethod:
     #: (Section 8) — adding a term can ADD answers under cosine top-k.
     source_kind: str = "boolean"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
-        """Can this method evaluate this query at all?"""
+    def applies(self, query: TextJoinQuery, source: Any) -> bool:
+        """Can this method evaluate this query against this source?
+
+        The method's one applicability rule.  ``source`` carries the
+        capability members ``short_fields`` (``None`` = all visible),
+        ``batch_limit`` and ``source_kind``: the cost inputs at plan
+        time, the metered client at run time — so what is enumerated
+        and what :meth:`check_applicable` admits cannot disagree.
+        """
         raise NotImplementedError
+
+    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+        """:meth:`applies` against the context's client."""
+        return self.applies(query, context.client)
+
+    def illegal_on(self, source_kind: str) -> ReproError:
+        """The typed error for running this method on another kind of source."""
+        return OptimizationError(
+            f"{self.name} assumes a {self.source_kind!r} source (its pruning "
+            f"relies on Boolean monotonicity, Section 8); this backend is "
+            f"{source_kind!r}"
+        )
 
     def check_applicable(self, query: TextJoinQuery, context: JoinContext) -> None:
         ensure_method_legal(self, context.client.source_kind)
@@ -158,18 +179,33 @@ class JoinMethod:
 def ensure_method_legal(method: "JoinMethod", source_kind: str) -> None:
     """Refuse to run a method against a backend it is unsound for.
 
-    Per-backend method legality (DESIGN invariant 15's soundness side):
-    a probe-based or semijoin method forced — via an explicit method
-    override — against a non-Boolean source would silently drop answers
-    that ranking semantics can add, so the mismatch is a typed
-    :class:`~repro.errors.OptimizationError`, never a wrong answer.
+    The one run-time legality check (DESIGN invariant 15's soundness
+    side): a probe-based or semijoin method forced — via an explicit
+    method override — against a non-Boolean source would silently drop
+    answers that ranking semantics can add, so the mismatch is the
+    method's typed :meth:`~JoinMethod.illegal_on` error, never a wrong
+    answer.
     """
-    required = method.source_kind
-    if source_kind != required:
+    if source_kind != method.source_kind:
+        raise method.illegal_on(source_kind)
+
+
+def ensure_plannable(required_kind: str, source: Any) -> None:
+    """Refuse to plan a method space against another kind of backend.
+
+    The one plan-time legality check: statistics gathering, vector cost
+    inputs and method enumeration all pass through it, so a mismatch
+    fails *before* any call is sent — the Section 4.2 statistics are
+    gathered with Boolean probes a ranking backend rejects, and the
+    Section 3 space they feed is unsound there anyway (Section 8).
+    ``source`` is a client or cost inputs, as for :meth:`JoinMethod.applies`.
+    """
+    if source.source_kind != required_kind:
         raise OptimizationError(
-            f"{method.name} assumes a {required!r} source (its pruning "
-            f"relies on Boolean monotonicity, Section 8); this backend is "
-            f"{source_kind!r}"
+            f"the {required_kind!r} method space (Boolean monotone "
+            f"semantics for Section 3, a scoring source for ranked "
+            f"strategies) cannot be planned against this "
+            f"{source.source_kind!r} backend; see repro.core.heterogeneous"
         )
 
 
@@ -244,9 +280,7 @@ def group_by_columns(
     return groups
 
 
-def rtp_fields_available(
-    context: JoinContext, predicates: Sequence[TextJoinPredicate]
-) -> bool:
+def rtp_fields_available(source: Any, predicates: Sequence[Any]) -> bool:
     """Can relational text processing see these predicates' fields?
 
     RTP-family methods string-match join values against *short-form*
@@ -254,10 +288,13 @@ def rtp_fields_available(
     cannot be evaluated relationally (the paper's applicability
     condition: "when the text predicates … are on short structured
     fields").  This is why "only two methods are universally applicable:
-    TS and P+TS" (Section 7.2).
+    TS and P+TS" (Section 7.2).  ``source`` is a client or cost inputs;
+    ``short_fields=None`` (synthetic inputs) means all visible.
     """
-    short_fields = context.client.short_fields
-    return all(predicate.field in short_fields for predicate in predicates)
+    short_fields = source.short_fields
+    return short_fields is None or all(
+        predicate.field in short_fields for predicate in predicates
+    )
 
 
 def rtp_match(
@@ -268,16 +305,14 @@ def rtp_match(
     The check reproduces the text system's word-level match (a value
     matches when its word sequence appears in the document field), which
     is the situation in which the paper considers RTP applicable — the
-    SQL string processing and the text-system predicate agree.
+    SQL string processing and the text-system predicate agree.  NULL
+    values and values with no indexable word never match.
     """
     for predicate in predicates:
         value = row[predicate.column]
         if value is None:
             return False
-        text = str(value)
-        if not tokenize(text):
-            return False
-        if not matches_document(document, data_term(predicate.field, text)):
+        if not value_matches_field(str(value), document.field(predicate.field)):
             return False
     return True
 

@@ -51,9 +51,9 @@ class BatchedTupleSubstitution(JoinMethod):
     def name(self) -> str:
         return "B+TS"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """Needs a source that takes batched invocations."""
-        return context.client.batch_limit is not None
+        return source.batch_limit is not None
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:
         self.check_applicable(query, context)

@@ -132,7 +132,7 @@ class ProbeTupleSubstitution(JoinMethod):
     def name(self) -> str:
         return _method_label("TS", self.probe_columns)
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """Probing needs the probe columns to be a subset of the join columns.
 
         Probing pays off when there are *multiple* join predicates (so the
@@ -270,7 +270,7 @@ class ProbeRtp(JoinMethod):
     def name(self) -> str:
         return _method_label("RTP", self.probe_columns)
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         try:
             _validate_probe_columns(query, self.probe_columns)
         except PlanError:
@@ -282,7 +282,7 @@ class ProbeRtp(JoinMethod):
             for predicate in query.join_predicates
             if predicate.column not in self.probe_columns
         )
-        return rtp_fields_available(context, remaining)
+        return rtp_fields_available(source, remaining)
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:
         self.check_applicable(query, context)
@@ -367,7 +367,7 @@ class ProbeSemiJoin(JoinMethod):
             return "P(all)"
         return _method_label("", self.probe_columns)
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         if query.shape is not ResultShape.TUPLES:
             return False
         if self.probe_columns is None:

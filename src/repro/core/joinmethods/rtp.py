@@ -35,12 +35,12 @@ class RelationalTextProcessing(JoinMethod):
 
     name = "RTP"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """RTP needs a text selection to bound the search, and every join
         predicate's field must be visible in the short form so SQL string
         matching can evaluate it."""
         return bool(query.text_selections) and rtp_fields_available(
-            context, query.join_predicates
+            source, query.join_predicates
         )
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:

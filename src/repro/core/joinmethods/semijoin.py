@@ -113,7 +113,7 @@ class SemiJoin(JoinMethod):
 
     name = "SJ"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """SJ alone only answers queries that are themselves semi-joins.
 
         The OR-batched result set loses the tuple ↔ document
@@ -147,9 +147,9 @@ class SemiJoinRtp(JoinMethod):
 
     name = "SJ+RTP"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """The RTP phase needs every predicate field in the short form."""
-        return rtp_fields_available(context, query.join_predicates)
+        return rtp_fields_available(source, query.join_predicates)
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:
         self.check_applicable(query, context)
@@ -198,10 +198,10 @@ class SingleColumnSemiJoinRtp(JoinMethod):
             return "SJ1+RTP"
         return f"SJ1({self.column.split('.')[-1]})+RTP"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         if self.column is not None and self.column not in query.join_columns:
             return False
-        return rtp_fields_available(context, query.join_predicates)
+        return rtp_fields_available(source, query.join_predicates)
 
     def execute(self, query: TextJoinQuery, context: JoinContext) -> MethodExecution:
         self.check_applicable(query, context)

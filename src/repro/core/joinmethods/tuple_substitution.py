@@ -41,7 +41,7 @@ class TupleSubstitution(JoinMethod):
     def name(self) -> str:
         return "TS" if self.distinct_only else "TS(naive)"
 
-    def applicable(self, query: TextJoinQuery, context: JoinContext) -> bool:
+    def applies(self, query: TextJoinQuery, source) -> bool:
         """TS is universally applicable (Section 7.2)."""
         return True
 

@@ -4,7 +4,8 @@ The Section 3 method space is unsound against a ranking source (its
 pruning relies on Boolean monotonicity — see
 :func:`~repro.core.joinmethods.base.ensure_method_legal`), so a
 :class:`~repro.core.query.VectorJoinPredicate` gets its own, smaller
-strategy space:
+method space (the ``"vector"`` rows of
+:data:`~repro.core.optimizer.single_join.METHOD_SPACES`):
 
 - :class:`VectorTopKProbe` (**V-TOPK**) — one ranked search per distinct
   non-NULL binding, the tuple-substitution analogue.  Always applicable.
@@ -27,7 +28,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.joinmethods.base import JoinContext, joining_rows
+from repro.core.joinmethods.base import (
+    JoinContext,
+    JoinMethod,
+    joining_rows,
+    rtp_fields_available,
+)
 from repro.core.query import TextJoinQuery, VectorJoinPredicate
 from repro.errors import JoinMethodError
 from repro.gateway.costs import CostLedger
@@ -115,33 +121,21 @@ def _binding(row: Row, predicate: VectorJoinPredicate) -> Optional[str]:
     return text
 
 
-class VectorJoinStrategy:
-    """Base class for the ranked-predicate strategies."""
+class VectorJoinStrategy(JoinMethod):
+    """Base class for the ranked-predicate strategies: join methods whose
+    "query" is a :class:`~repro.core.query.VectorJoinPredicate` and which
+    :meth:`run` over explicit rows rather than ``execute``."""
 
-    name: str = "?"
     #: These strategies are only meaningful against a ranking backend —
     #: the legality check is symmetric (a Boolean server cannot answer a
     #: VectorQuery either).
     source_kind: str = "vector"
 
-    def applicable(
-        self, predicate: VectorJoinPredicate, context: JoinContext
-    ) -> bool:
-        raise NotImplementedError
-
-    def check_applicable(
-        self, predicate: VectorJoinPredicate, context: JoinContext
-    ) -> None:
-        kind = context.client.source_kind
-        if kind != self.source_kind:
-            raise JoinMethodError(
-                f"{self.name} runs against a {self.source_kind!r} backend; "
-                f"this client serves a {kind!r} source"
-            )
-        if not self.applicable(predicate, context):
-            raise JoinMethodError(
-                f"{self.name} is not applicable to {predicate!r}"
-            )
+    def illegal_on(self, source_kind: str) -> JoinMethodError:
+        return JoinMethodError(
+            f"{self.name} runs against a {self.source_kind!r} backend; "
+            f"this client serves a {source_kind!r} source"
+        )
 
     def run(
         self,
@@ -150,9 +144,6 @@ class VectorJoinStrategy:
         context: JoinContext,
     ) -> VectorExecution:
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"
 
 
 class VectorTopKProbe(VectorJoinStrategy):
@@ -165,9 +156,7 @@ class VectorTopKProbe(VectorJoinStrategy):
 
     name = "V-TOPK"
 
-    def applicable(
-        self, predicate: VectorJoinPredicate, context: JoinContext
-    ) -> bool:
+    def applies(self, predicate: VectorJoinPredicate, source) -> bool:
         return True
 
     def run(
@@ -231,10 +220,8 @@ class VectorCorpusScan(VectorJoinStrategy):
 
     name = "V-SCAN"
 
-    def applicable(
-        self, predicate: VectorJoinPredicate, context: JoinContext
-    ) -> bool:
-        return predicate.field in context.client.short_fields
+    def applies(self, predicate: VectorJoinPredicate, source) -> bool:
+        return rtp_fields_available(source, (predicate,))
 
     def run(
         self,

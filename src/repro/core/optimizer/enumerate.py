@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.core.optimizer.estimator import PlanEstimator
+from repro.core.optimizer.estimator import INTERMEDIATE, PlanEstimator
 from repro.core.optimizer.multiquery import TEXT_SOURCE, MultiJoinQuery
 from repro.core.optimizer.plan import (
     JoinNode,
@@ -38,7 +38,8 @@ from repro.core.optimizer.plan import (
     TextScanNode,
     plan_signature,
 )
-from repro.core.query import TextJoinPredicate
+from repro.core.probe_select import candidate_probe_sets
+from repro.core.query import TextJoinPredicate, TextJoinQuery
 from repro.errors import OptimizationError
 
 __all__ = ["OptimizedPlan", "SubsetDecision", "optimize_multijoin"]
@@ -92,18 +93,22 @@ def _probe_candidates(
     if plan.includes_text:
         return []
     relations = sorted(plan.relations())
-    available = [
+    available = tuple(
         predicate
         for predicate in query.text_predicates_within(relations)
         if predicate.column not in plan.probed_columns()
-    ]
+    )
     if not available:
         return []
-    max_size = min(len(available), 2 * estimator.g)
-    subsets: List[Tuple[TextJoinPredicate, ...]] = []
-    for size in range(1, max_size + 1):
-        subsets.extend(itertools.combinations(available, size))
-    return subsets
+    # A probe node is the reducer: any non-empty subset, the full set
+    # included, within the Section 5 size bound.
+    probe_query = TextJoinQuery(INTERMEDIATE, available)
+    return [
+        probe_query.predicates_on(columns)
+        for columns in candidate_probe_sets(
+            probe_query, estimator.g, allow_full=True
+        )
+    ]
 
 
 def _with_probes(
@@ -130,7 +135,7 @@ def _join_alternatives(
     left_plan: PlanNode,
     right_relation: str,
     estimator: PlanEstimator,
-    enable_probes: bool,
+    probes: bool,
 ) -> List[PlanNode]:
     """All (a)-(d) ways to extend ``left_plan`` with ``right_relation``."""
     right_scan = ScanNode(
@@ -139,7 +144,7 @@ def _join_alternatives(
     )
     estimator.annotate(right_scan)
 
-    if enable_probes and not left_plan.includes_text:
+    if probes and not left_plan.includes_text:
         lefts = _with_probes(query, left_plan, estimator)
         rights = _with_probes(query, right_scan, estimator)
     else:
@@ -175,7 +180,7 @@ def _bushy_join_alternatives(
     left_plan: PlanNode,
     right_plan: PlanNode,
     estimator: PlanEstimator,
-    enable_probes: bool,
+    probes: bool,
 ) -> List[PlanNode]:
     """Join two composite plans (bushy trees).
 
@@ -197,12 +202,12 @@ def _bushy_join_alternatives(
 
     lefts = (
         _with_probes(query, left_plan, estimator)
-        if enable_probes and not left_plan.includes_text
+        if probes and not left_plan.includes_text
         else [left_plan]
     )
     rights = (
         _with_probes(query, right_plan, estimator)
-        if enable_probes and not right_plan.includes_text
+        if probes and not right_plan.includes_text
         else [right_plan]
     )
     plans: List[PlanNode] = []
@@ -245,7 +250,6 @@ def _text_join_alternatives(
 def optimize_multijoin(
     query: MultiJoinQuery,
     estimator: PlanEstimator,
-    enable_probes: bool = True,
     space: Optional[str] = None,
 ) -> OptimizedPlan:
     """Dynamic-programming enumeration over an execution space.
@@ -266,16 +270,12 @@ def optimize_multijoin(
       may itself be a composite plan, so the DP considers every 2-way
       partition of each subset (the "[CDY] other choices of execution
       space" direction).
-
-    ``enable_probes=False`` is shorthand for disabling probes in any
-    space (kept for convenience; ``space="traditional"`` implies it).
     """
     if space is None:
         space = "extended"
     if space not in ("traditional", "prl", "extended", "bushy"):
         raise OptimizationError(f"unknown execution space {space!r}")
-    if space == "traditional":
-        enable_probes = False
+    probes = space != "traditional"
     allow_text_scan = space in ("extended", "bushy") and bool(query.text_selections)
     defer_text_predicates = space in ("extended", "bushy")
     bushy = space == "bushy"
@@ -330,7 +330,7 @@ def optimize_multijoin(
                             continue
                     candidates.extend(
                         _join_alternatives(
-                            query, left_plan, unit, estimator, enable_probes
+                            query, left_plan, unit, estimator, probes
                         )
                     )
             if bushy:
@@ -352,7 +352,7 @@ def optimize_multijoin(
                         continue
                     candidates.extend(
                         _bushy_join_alternatives(
-                            query, left_plan, right_plan, estimator, enable_probes
+                            query, left_plan, right_plan, estimator, probes
                         )
                     )
             plans_considered += len(candidates)

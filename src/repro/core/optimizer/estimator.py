@@ -25,12 +25,13 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Sequence
 
-from repro.core.costmodel import (
-    CostEstimate,
-    QueryCostInputs,
-    SelectionStatistics,
+from repro.core.costmodel import CostEstimate, QueryCostInputs
+from repro.core.inputs import (
+    predicate_statistics,
+    selection_statistics,
+    source_capabilities,
 )
-from repro.core.joinmethods.base import JoinContext, selection_node
+from repro.core.joinmethods.base import JoinContext
 from repro.core.optimizer.multiquery import MultiJoinQuery, RelationalJoinPredicate
 from repro.core.optimizer.plan import (
     JoinNode,
@@ -43,14 +44,12 @@ from repro.core.optimizer.plan import (
 from repro.core.optimizer.single_join import MethodChoice, enumerate_method_choices
 from repro.core.query import ResultShape, TextJoinPredicate, TextJoinQuery
 from repro.errors import OptimizationError, PlanError, StatisticsError
-from repro.gateway.sampling import exact_predicate_statistics
 from repro.gateway.statistics import (
     PredicateStatistics,
     TextStatisticsRegistry,
     joint_selectivity,
 )
 from repro.relational.expressions import Comparison, ColumnRef
-from repro.textsys.query import and_all
 
 __all__ = ["PlanEstimator", "INTERMEDIATE"]
 
@@ -72,7 +71,8 @@ class PlanEstimator:
     ) -> None:
         self.query = query
         self.context = context
-        self.registry = registry or TextStatisticsRegistry()
+        # ``is None``: an empty registry is falsy but still the caller's.
+        self.registry = TextStatisticsRegistry() if registry is None else registry
         self.g = g
         self.join_comparison_cost = join_comparison_cost
         #: Optional :class:`~repro.core.feedback.FeedbackStore`: observed
@@ -83,26 +83,23 @@ class PlanEstimator:
 
         self._scan_rows: Dict[str, List] = {}
         self._column_distinct: Dict[str, int] = {}
-        self._predicate_stats: Dict[str, PredicateStatistics] = {}
-        self._selection = self._measure_selections()
+        client = context.client
+        self._capabilities = source_capabilities(client)  # guard: first
+        self._selection = selection_statistics(query.text_selections, client)
         self._prepare_relational_statistics()
-        self._prepare_text_statistics()
+        self._predicate_stats = predicate_statistics(
+            query.text_predicates,
+            lambda predicate: self._filtered_rows(
+                predicate.column.split(".", 1)[0]
+            ),
+            client,
+            registry=self.registry,
+            feedback=feedback,
+        )
 
     # ------------------------------------------------------------------
     # preparation
     # ------------------------------------------------------------------
-    def _measure_selections(self) -> SelectionStatistics:
-        if not self.query.text_selections:
-            return SelectionStatistics.absent()
-        nodes = [selection_node(selection) for selection in self.query.text_selections]
-        result = self.context.client.server.search(and_all(nodes))
-        return SelectionStatistics(
-            result_size=float(len(result)),
-            postings=float(result.postings_processed),
-            term_count=sum(node.term_count() for node in nodes),
-            present=True,
-        )
-
     def _filtered_rows(self, relation: str) -> List:
         if relation not in self._scan_rows:
             table = self.context.catalog.table(relation)
@@ -122,39 +119,6 @@ class PlanEstimator:
             for column in table.schema.names():
                 seen = {row[column] for row in rows if row[column] is not None}
                 self._column_distinct[column] = len(seen)
-
-    def _prepare_text_statistics(self) -> None:
-        for predicate in self.query.text_predicates:
-            if self.registry.has(predicate.column, predicate.field):
-                stats = self.registry.get(predicate.column, predicate.field)
-            else:
-                relation = predicate.column.split(".", 1)[0]
-                values = [
-                    row[predicate.column] for row in self._filtered_rows(relation)
-                ]
-                if not any(value is not None for value in values):
-                    # An all-NULL join column never matches anything.
-                    stats = PredicateStatistics(
-                        column=predicate.column,
-                        field=predicate.field,
-                        selectivity=0.0,
-                        fanout=0.0,
-                    )
-                else:
-                    stats = exact_predicate_statistics(
-                        self.context.client.server,
-                        predicate.column,
-                        predicate.field,
-                        values,
-                    )
-                self.registry.put(stats)
-            if self.feedback is not None:
-                from repro.core.feedback import corpus_fingerprint
-
-                stats = self.feedback.blend(
-                    stats, corpus_fingerprint(self.context.client.server)
-                )
-            self._predicate_stats[predicate.column] = stats
 
     # ------------------------------------------------------------------
     # statistics access
@@ -311,9 +275,6 @@ class PlanEstimator:
                 1, int(round(min(float(base), rows)))
             ) if rows >= 1 else 0
         return QueryCostInputs(
-            constants=self.context.client.ledger.constants,
-            document_count=self.document_count,
-            term_limit=self.context.client.term_limit,
             g=self.g,
             tuple_count=int(round(rows)),
             predicate_stats={
@@ -322,8 +283,7 @@ class PlanEstimator:
             },
             selection=self._selection,
             distinct_counts=distinct_counts,
-            batch_limit=self.context.client.batch_limit,
-            rtp_fields=frozenset(self.context.client.short_fields),
+            **self._capabilities,
         )
 
     def _synthetic_query(

@@ -1,4 +1,4 @@
-"""Single-foreign-join optimization (Section 5).
+"""Single-foreign-join optimization (Section 5) over one method space.
 
 "Optimization of queries that involve a single stored relation and the
 text retrieval system reduces to the problem of choosing among the join
@@ -6,27 +6,32 @@ methods presented in Section 3 based on the ... cost model.  However, for
 probe-based methods, we must also determine an optimal set of probe
 columns."
 
-:func:`enumerate_method_choices` prices every applicable method — TS,
-RTP, SJ, SJ+RTP, and the probing methods with their *optimal* probe
-column sets — and returns them ranked; :func:`choose_join_method` picks
-the winner.
+:data:`METHOD_SPACES` is that choice as data: per ``source_kind``, the
+ordered rows pairing a configured-method factory with its cost function.
+Which methods are *legal* for a backend is which table they sit in; when
+one *applies* to a query is its own :meth:`~repro.core.joinmethods.
+JoinMethod.applies` rule.  :func:`enumerate_method_choices` walks the
+table and ranks what applies; :func:`choose_join_method` picks the
+winner.  Every planner ranks through these two functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.costmodel import (
     CostEstimate,
-    QueryCostInputs,
     cost_probe_semijoin,
     cost_rtp,
     cost_sj,
     cost_sj_rtp,
     cost_ts,
+    cost_vector_scan,
+    cost_vector_topk,
 )
 from repro.core.joinmethods import (
+    BatchedTupleSubstitution,
     JoinMethod,
     ProbeRtp,
     ProbeSemiJoin,
@@ -35,12 +40,21 @@ from repro.core.joinmethods import (
     SemiJoin,
     SemiJoinRtp,
     TupleSubstitution,
+    VectorCorpusScan,
+    VectorTopKProbe,
+    cost_batched_ts,
 )
+from repro.core.joinmethods.base import ensure_plannable
 from repro.core.probe_select import optimal_probe_columns
-from repro.core.query import ResultShape, TextJoinQuery
 from repro.errors import OptimizationError
 
-__all__ = ["MethodChoice", "enumerate_method_choices", "choose_join_method"]
+__all__ = [
+    "MethodChoice",
+    "MethodSpaceEntry",
+    "METHOD_SPACES",
+    "enumerate_method_choices",
+    "choose_join_method",
+]
 
 
 @dataclass(frozen=True)
@@ -58,92 +72,114 @@ class MethodChoice:
         return f"MethodChoice({self.name}, {self.estimate.total:.2f}s)"
 
 
+@dataclass(frozen=True)
+class MethodSpaceEntry:
+    """One row of a method space: how a method is configured and priced.
+
+    A plain row builds its method with ``factory(query, inputs)`` and
+    prices it with ``cost(inputs, query)``.  A probing row names the
+    Section 5 search (:func:`~repro.core.probe_select.
+    optimal_probe_columns` variant) that picks and prices its columns,
+    and builds the method with ``factory(probe_columns)``.
+    """
+
+    factory: Callable[..., JoinMethod]
+    cost: Optional[Callable[[Any, Any], CostEstimate]] = None
+    probe_variant: Optional[str] = None
+
+    def choose(
+        self, query: Any, inputs: Any, exhaustive_probes: bool
+    ) -> Optional[MethodChoice]:
+        """The row's method, configured and priced — ``None`` if none applies."""
+        if self.probe_variant is None:
+            method = self.factory(query, inputs)
+            if not method.applies(query, inputs):
+                return None
+            return MethodChoice(method, self.cost(inputs, query))
+        best = optimal_probe_columns(
+            inputs,
+            query,
+            variant=self.probe_variant,
+            exhaustive=exhaustive_probes,
+            admit=lambda columns: self.factory(columns).applies(query, inputs),
+        )
+        if best is None:
+            return None
+        return MethodChoice(self.factory(best.columns), best.estimate)
+
+
+#: The method spaces, keyed by the ``source_kind`` they are sound for
+#: (DESIGN invariant 15).  Row order is the tie-break: the ranking sort
+#: is stable.  A new backend kind is one more key here, plus its
+#: methods and a cost-inputs builder calling ``ensure_plannable``.
+METHOD_SPACES: Dict[str, Tuple[MethodSpaceEntry, ...]] = {
+    # Section 3: sound only under Boolean monotone semantics.
+    "boolean": (
+        MethodSpaceEntry(lambda query, inputs: TupleSubstitution(), cost_ts),
+        MethodSpaceEntry(lambda query, inputs: SemiJoinRtp(), cost_sj_rtp),
+        MethodSpaceEntry(
+            lambda query, inputs: BatchedTupleSubstitution(inputs.batch_limit),
+            lambda inputs, query: cost_batched_ts(
+                inputs, query, inputs.batch_limit
+            ),
+        ),
+        MethodSpaceEntry(lambda query, inputs: RelationalTextProcessing(), cost_rtp),
+        MethodSpaceEntry(lambda query, inputs: SemiJoin(), cost_sj),
+        MethodSpaceEntry(
+            lambda query, inputs: ProbeSemiJoin(query.join_columns),
+            lambda inputs, query: cost_probe_semijoin(
+                inputs, query, query.join_columns
+            ),
+        ),
+        MethodSpaceEntry(ProbeTupleSubstitution, probe_variant="P+TS"),
+        MethodSpaceEntry(ProbeRtp, probe_variant="P+RTP"),
+    ),
+    # Section 8: ranked predicates (the "query" is a VectorJoinPredicate).
+    "vector": (
+        MethodSpaceEntry(
+            lambda predicate, inputs: VectorTopKProbe(),
+            lambda inputs, predicate: cost_vector_topk(inputs),
+        ),
+        MethodSpaceEntry(
+            lambda predicate, inputs: VectorCorpusScan(),
+            lambda inputs, predicate: cost_vector_scan(inputs),
+        ),
+    ),
+}
+
+
 def enumerate_method_choices(
-    query: TextJoinQuery,
-    inputs: QueryCostInputs,
+    query: Any,
+    inputs: Any,
     exhaustive_probes: bool = False,
 ) -> List[MethodChoice]:
     """All applicable methods for the query, ranked cheapest first.
 
-    Applicability follows Section 3: TS and SJ+RTP are universal; RTP
-    needs text selections; SJ answers only semi-join (docid-shaped)
-    queries; probing variants need at least two join predicates (a probe
-    must be a proper, non-empty subset of the join columns); the pure
-    probe method answers only tuple-shaped semi-joins.
+    ``query`` is a :class:`~repro.core.query.TextJoinQuery` with
+    :class:`~repro.core.costmodel.QueryCostInputs`, or a
+    :class:`~repro.core.query.VectorJoinPredicate` with
+    :class:`~repro.core.costmodel.VectorCostInputs`; inputs gathered from
+    another kind of backend raise :class:`OptimizationError`.
+
+    Applicability follows Section 3: TS and P+TS are universal; the RTP
+    family needs its fields in the short form (RTP also text
+    selections); SJ answers only semi-join (docid-shaped) queries, the
+    pure probe method only tuple-shaped ones; a probe must be a proper,
+    non-empty subset of the join columns.
     """
-    source_kind = inputs.source_kind
-    if source_kind != "boolean":
-        # Per-backend method legality: every method below assumes Boolean
-        # monotone semantics (probing prunes, semijoins batch term
-        # subsets), which ranking backends violate — Section 8.  Vector
-        # predicates are planned by the heterogeneous planner's own
-        # strategy space (V-TOPK / V-SCAN), never this one.
-        raise OptimizationError(
-            f"the Section 3 method space is sound only for Boolean "
-            f"sources; this backend is {source_kind!r} (see "
-            f"repro.core.heterogeneous for ranked predicates)"
-        )
+    ensure_plannable(query.source_kind, inputs)
     choices: List[MethodChoice] = []
-    predicate_fields = [p.field for p in query.join_predicates]
-    rtp_possible = inputs.fields_visible(predicate_fields)
-
-    choices.append(MethodChoice(TupleSubstitution(), cost_ts(inputs, query)))
-    if rtp_possible:
-        choices.append(MethodChoice(SemiJoinRtp(), cost_sj_rtp(inputs, query)))
-
-    if inputs.batch_limit is not None:
-        from repro.core.joinmethods.batched import (
-            BatchedTupleSubstitution,
-            cost_batched_ts,
-        )
-
-        choices.append(
-            MethodChoice(
-                BatchedTupleSubstitution(inputs.batch_limit),
-                cost_batched_ts(inputs, query, inputs.batch_limit),
-            )
-        )
-
-    if query.text_selections and rtp_possible:
-        choices.append(
-            MethodChoice(RelationalTextProcessing(), cost_rtp(inputs, query))
-        )
-
-    if query.shape is ResultShape.DOCIDS:
-        choices.append(MethodChoice(SemiJoin(), cost_sj(inputs, query)))
-
-    if query.shape is ResultShape.TUPLES:
-        full = tuple(query.join_columns)
-        choices.append(
-            MethodChoice(
-                ProbeSemiJoin(full), cost_probe_semijoin(inputs, query, full)
-            )
-        )
-
-    if len(query.join_predicates) >= 2:
-        p_ts = optimal_probe_columns(
-            inputs, query, variant="P+TS", exhaustive=exhaustive_probes
-        )
-        if p_ts is not None:
-            choices.append(
-                MethodChoice(ProbeTupleSubstitution(p_ts.columns), p_ts.estimate)
-            )
-        if rtp_possible:
-            p_rtp = optimal_probe_columns(
-                inputs, query, variant="P+RTP", exhaustive=exhaustive_probes
-            )
-            if p_rtp is not None:
-                choices.append(
-                    MethodChoice(ProbeRtp(p_rtp.columns), p_rtp.estimate)
-                )
-
+    for entry in METHOD_SPACES[query.source_kind]:
+        choice = entry.choose(query, inputs, exhaustive_probes)
+        if choice is not None:
+            choices.append(choice)
     choices.sort(key=lambda choice: choice.estimate.total)
     return choices
 
 
 def choose_join_method(
-    query: TextJoinQuery,
-    inputs: QueryCostInputs,
+    query: Any,
+    inputs: Any,
     exhaustive_probes: bool = False,
 ) -> MethodChoice:
     """The cheapest applicable method for the query."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.costmodel import (
     CostEstimate,
@@ -80,11 +80,15 @@ def optimal_probe_columns(
     query: TextJoinQuery,
     variant: str = "P+TS",
     exhaustive: bool = False,
+    admit: Optional[Callable[[Tuple[str, ...]], bool]] = None,
 ) -> Optional[ProbeChoice]:
     """The cheapest probe-column set for a probing variant, or ``None``.
 
     Returns ``None`` when no candidate subset exists (e.g. a single join
-    predicate, where any proper probe subset is empty).
+    predicate, where any proper probe subset is empty).  ``admit``
+    restricts the search to the candidate sets it accepts — the
+    enumerator passes the configured method's applicability rule, so a
+    set whose method could not run is never priced.
     """
     try:
         cost_function = _VARIANTS[variant]
@@ -97,6 +101,8 @@ def optimal_probe_columns(
     candidates = candidate_probe_sets(
         query, inputs.g, exhaustive=exhaustive, allow_full=allow_full
     )
+    if admit is not None:
+        candidates = [subset for subset in candidates if admit(subset)]
     best: Optional[ProbeChoice] = None
     for subset in candidates:
         estimate = cost_function(inputs, query, subset)

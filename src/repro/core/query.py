@@ -95,6 +95,9 @@ class VectorJoinPredicate:
     top_k: Optional[int] = 10
     threshold: float = 0.0
 
+    #: The method space (and backend kind) that can answer this predicate.
+    source_kind = "vector"
+
     def __post_init__(self) -> None:
         if not self.column:
             raise PlanError("vector join predicate column must be non-empty")
@@ -138,6 +141,10 @@ class TextJoinQuery:
     relation_predicate: Optional[Expression] = None
     shape: ResultShape = ResultShape.PAIRS
     long_form: bool = False  # retrieve full documents for PAIRS results?
+
+    #: The method space (and backend kind) that can answer this query:
+    #: ``<column> in <field>`` predicates are Boolean containment.
+    source_kind = "boolean"
 
     def __post_init__(self) -> None:
         if not self.relation:

@@ -16,7 +16,7 @@ Two engine modes produce that result:
   by :mod:`repro.textsys.rewriter` (flattened, duplicate-free,
   conjuncts ordered by document frequency), intersections gallop on
   skewed lists and stop once empty, OR/truncation fan-ins use one
-  heap-based k-way union, and repeated subexpressions are evaluated
+  k-way set union, and repeated subexpressions are evaluated
   once.  Skipped or deduplicated subtrees still pay their charges
   through a charge-only pass (list lengths via ``index.lookup``, no
   merging), so ``postings_processed``, page reads, result docids, and

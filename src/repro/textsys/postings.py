@@ -19,7 +19,7 @@ Two families of kernels operate on these lists:
   :func:`positional_intersect`);
 - *accelerated* kernels with the same outputs: a galloping
   (exponential-search) intersection for skewed list pairs
-  (:func:`intersect`, automatic dispatch) and a heap-based k-way union
+  (:func:`intersect`, automatic dispatch) and a k-way set union
   (:func:`union_many`) that replaces quadratic pairwise folding for
   wide OR fan-ins.
 
@@ -30,7 +30,6 @@ behaviour differs, never the result.
 
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -269,24 +268,9 @@ def _union_arrays(left: array, right: array) -> array:
 
 
 def _union_many_arrays(arrays: Sequence[array]) -> array:
-    operands = [operand for operand in arrays if len(operand)]
-    if not operands:
-        return array("q")
-    if len(operands) == 1:
-        return array("q", operands[0])
-    if len(operands) == 2:
-        return _union_arrays(operands[0], operands[1])
-    # Heap-based k-way merge: each of the N total postings costs one
-    # O(log k) heap step, versus the O(N * k) element copies of folding
-    # pairwise unions left-to-right.
-    out = array("q")
-    append = out.append
-    previous = None
-    for doc in heapq.merge(*operands):
-        if doc != previous:
-            append(doc)
-            previous = doc
-    return out
+    # One hash-set union and one sort, both in C: ordinals are plain
+    # ints, so sorting the distinct set reproduces the merge order.
+    return array("q", sorted(set().union(*arrays)))
 
 
 def _difference_arrays(left: array, right: array) -> array:
@@ -367,11 +351,12 @@ def union(left: PostingList, right: PostingList) -> PostingList:
 
 
 def union_many(lists: Sequence[PostingList]) -> PostingList:
-    """Union any number of lists with one heap-based k-way merge.
+    """Union any number of lists in one pass: set union, then sort.
 
-    Equivalent to folding :func:`union` pairwise but linear in the total
-    number of postings (times ``log k``) instead of quadratic in the
-    operand count — the shape OR-batched semi-joins produce.
+    Equivalent to folding :func:`union` pairwise (and never aliasing an
+    operand) but one C-level pass over the total number of postings
+    instead of quadratic in the operand count — the shape OR-batched
+    semi-joins produce.
     """
     return PostingList._from_sorted(
         _union_many_arrays([operand._docs for operand in lists])

@@ -20,6 +20,19 @@ def scenario():
     return build_default_scenario(seed=7)
 
 
+def scenario_context(scenario, batch_limit=None) -> JoinContext:
+    """A fresh context on the scenario's corpus (same store and index)
+    whose server publishes ``batch_limit``; ``None`` is plain Mercury."""
+    server = BooleanTextServer(
+        scenario.server.store,
+        index=scenario.server.index,
+        batch_limit=batch_limit,
+    )
+    return JoinContext(
+        scenario.catalog, TextClient(server, constants=scenario.constants)
+    )
+
+
 @pytest.fixture
 def tiny_store() -> DocumentStore:
     """Four bibliographic documents with known term placement."""

@@ -8,6 +8,7 @@ from repro.core.optimizer.multiquery import MultiJoinQuery, RelationalJoinPredic
 from repro.core.optimizer.plan import JoinNode, ProbeNode, ScanNode, TextJoinNode
 from repro.core.query import TextJoinPredicate
 from repro.gateway.client import TextClient
+from repro.gateway.statistics import TextStatisticsRegistry
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import ColumnRef, Comparison
 from repro.relational.schema import Schema
@@ -51,6 +52,32 @@ def world():
 def estimator_for(world):
     catalog, server, query = world
     return query, PlanEstimator(query, JoinContext(catalog, TextClient(server)))
+
+
+class TestRegistry:
+    def test_an_empty_registry_handed_in_is_the_one_filled(self, world):
+        """``registry or TextStatisticsRegistry()`` silently swapped an
+        empty registry (``__len__`` == 0) for a private one."""
+        catalog, server, query = world
+        registry = TextStatisticsRegistry()
+        estimator = PlanEstimator(
+            query, JoinContext(catalog, TextClient(server)), registry=registry
+        )
+        assert estimator.registry is registry
+        assert registry.has("l.who", "author")
+        assert registry.get("l.who", "author") == estimator.predicate_stats("l.who")
+
+    def test_a_warm_registry_is_reused_without_measuring(self, world):
+        catalog, server, query = world
+        registry = TextStatisticsRegistry()
+        PlanEstimator(
+            query, JoinContext(catalog, TextClient(server)), registry=registry
+        )
+        searches = server.counters.searches
+        PlanEstimator(
+            query, JoinContext(catalog, TextClient(server)), registry=registry
+        )
+        assert server.counters.searches == searches
 
 
 class TestJoinSelectivity:

@@ -13,13 +13,12 @@ from repro.bench.multibackend import build_multibackend_scenario
 from repro.core.heterogeneous import (
     HeterogeneousJoinQuery,
     build_vector_cost_inputs,
-    choose_vector_strategy,
-    enumerate_vector_choices,
     execute_heterogeneous,
     explain_heterogeneous,
     plan_heterogeneous,
 )
 from repro.core.joinmethods import JoinContext
+from repro.core.optimizer import choose_join_method, enumerate_method_choices
 from repro.core.query import (
     ResultShape,
     TextJoinPredicate,
@@ -237,16 +236,16 @@ class TestVectorCostInputs:
         rows = list(small_catalog.table("paper").scan())
         inputs = build_vector_cost_inputs(predicate, rows, context)
         assert inputs.scan_visible is False
-        choices = enumerate_vector_choices(predicate, inputs)
+        choices = enumerate_method_choices(predicate, inputs)
         assert [choice.name for choice in choices] == ["V-TOPK(k=10)"]
 
     def test_choose_returns_the_cheapest_choice(self, small_context):
         predicate = VectorJoinPredicate("paper.topic", "topic", top_k=2)
         rows = list(small_context.catalog.table("paper").scan())
         inputs = build_vector_cost_inputs(predicate, rows, small_context)
-        choices = enumerate_vector_choices(predicate, inputs)
+        choices = enumerate_method_choices(predicate, inputs)
         assert len(choices) == 2
-        chosen = choose_vector_strategy(predicate, inputs)
+        chosen = choose_join_method(predicate, inputs)
         assert chosen.estimate.total == min(
             choice.estimate.total for choice in choices
         )

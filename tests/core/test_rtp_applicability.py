@@ -24,6 +24,8 @@ from repro.relational.types import DataType
 from repro.textsys.documents import DocumentStore
 from repro.textsys.server import BooleanTextServer
 
+from tests.core.test_method_space import check_method_space
+
 
 @pytest.fixture
 def hidden_author_context():
@@ -101,6 +103,21 @@ class TestOptimizerRespectsVisibility:
         assert "RTP" not in names
         assert "SJ+RTP" not in names
         assert "TS" in names
+
+    def test_applicable_p_rtp_is_enumerated(self, hidden_author_context):
+        """P+RTP string-matches only the *non-probe* predicates, so
+        probing on the hidden author leaves a visible remainder:
+        P(name)+RTP applies, is correct and must be offered (plan time
+        used to gate every P+RTP on *all* fields); P(topic)+RTP must not."""
+        context = hidden_author_context
+
+        def make_context():
+            return JoinContext(context.catalog, TextClient(context.client.server))
+
+        enumerated = check_method_space(query(), make_context)
+        assert "P(name)+RTP" in enumerated
+        assert "P(topic)+RTP" not in enumerated
+        assert not {"RTP", "SJ+RTP"} & set(enumerated)
 
     def test_all_fields_visible_restores_choices(self, tiny_context):
         q = TextJoinQuery(

@@ -18,6 +18,7 @@ from repro.core.costmodel import (
     cost_vector_scan,
     cost_vector_topk,
 )
+from repro.core.heterogeneous import build_vector_cost_inputs
 from repro.core.inputs import build_cost_inputs
 from repro.core.joinmethods import (
     JoinContext,
@@ -32,11 +33,13 @@ from repro.core.joinmethods import (
     VectorTopKProbe,
     ensure_method_legal,
 )
+from repro.core.optimizer import MultiJoinQuery, PlanEstimator
 from repro.core.optimizer.single_join import enumerate_method_choices
 from repro.core.query import (
     ResultShape,
     TextJoinPredicate,
     TextJoinQuery,
+    TextSelection,
     VectorJoinPredicate,
 )
 from repro.errors import (
@@ -149,6 +152,27 @@ class TestMethodLegality:
         the guard fires before any Boolean probe is sent."""
         with pytest.raises(OptimizationError, match="Boolean"):
             build_cost_inputs(boolean_query, vector_context)
+
+    def test_estimator_fails_fast_on_vector_backends(self, vector_context):
+        """The multi-join estimator shares the gatherer's guard: a typed
+        OptimizationError before any call — not a bare TextSystemError
+        from the first Boolean probe the vector server rejects."""
+        query = MultiJoinQuery(
+            relations=("paper",),
+            text_predicates=(TextJoinPredicate("paper.title", "title"),),
+            text_selections=(TextSelection("belief", "title"),),
+        )
+        server = vector_context.client.server
+        with pytest.raises(OptimizationError, match="Boolean"):
+            PlanEstimator(query, vector_context)
+        assert server.counters.searches == 0
+
+    def test_vector_inputs_refuse_boolean_backends(self, boolean_context):
+        """The same guard, the other way round: ranked statistics are not
+        measured against a Boolean source."""
+        predicate = VectorJoinPredicate("paper.topic", "topic")
+        with pytest.raises(OptimizationError, match="'boolean' backend"):
+            build_vector_cost_inputs(predicate, [], boolean_context)
 
     def test_enumerator_refuses_vector_inputs(
         self, boolean_context, boolean_query

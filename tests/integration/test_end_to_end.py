@@ -17,6 +17,8 @@ from repro.core import (
 )
 from repro.core.joinmethods import TupleSubstitution
 
+from tests.conftest import scenario_context
+
 
 @pytest.fixture(scope="module")
 def table2(scenario):
@@ -82,6 +84,27 @@ class TestMultiJoinEndToEnd:
         assert results["traditional"] == results["prl"] == results["extended"]
         assert costs["prl"] <= costs["traditional"] + 1e-9
         assert costs["extended"] <= costs["prl"] + 1e-9
+
+    def test_q5_result_keys_ignore_join_order(self, scenario):
+        """With a batch-capable source ``extended`` joins in another
+        column order than ``prl``; the rows agree column by column, so
+        the keys must too (the ``multijoin --remote/--shards`` abort)."""
+        query = scenario.q5()
+
+        def context():
+            return scenario_context(scenario, batch_limit=50)
+
+        executions = {}
+        for space in ("prl", "extended"):
+            optimized = optimize_multijoin(
+                query, PlanEstimator(query, context()), space=space
+            )
+            executions[space] = execute_plan(optimized.plan, query, context())
+        prl, extended = executions["prl"], executions["extended"]
+        assert prl.schema.names() != extended.schema.names()
+        assert sorted(prl.schema.names()) == sorted(extended.schema.names())
+        assert prl.result_keys() == extended.result_keys()
+        assert len(prl.result_keys()) == len(set(prl.rows))
 
     def test_q5_finds_cross_department_pairs(self, scenario):
         query = scenario.q5()

@@ -63,6 +63,26 @@ def test_text_source_contract_surface():
         assert not hasattr(module, name), name
 
 
+def test_one_method_space_surface():
+    """Vector strategies are rows of the one method-space table, ranked
+    by the one enumerator into the one ``MethodChoice``."""
+    from repro import core
+    from repro.core import heterogeneous
+    from repro.core.optimizer import single_join
+
+    for module in (core, heterogeneous):
+        for name in (
+            "VectorMethodChoice",
+            "enumerate_vector_choices",
+            "choose_vector_strategy",
+        ):
+            assert not hasattr(module, name), name
+    assert set(single_join.METHOD_SPACES) == {"boolean", "vector"}
+    assert "enable_probes" not in (
+        core.optimize_multijoin.__code__.co_varnames
+    )
+
+
 def test_core_extension_surface():
     from repro import core
 

@@ -107,3 +107,24 @@ def test_no_capability_probing():
                         f"{node.func.id}(..., {node.args[1].value!r})"
                     )
     assert offenders == [], "capability probes:\n" + "\n".join(offenders)
+
+
+def test_core_never_imports_the_text_engine():
+    """The database side reaches the text system through ``search`` /
+    ``retrieve`` only (Section 2.3).  ``repro.textsys.engine`` holds the
+    server's evaluators — ``matches_document`` is the *test oracle* —
+    so nothing under ``core/`` may import it, by either spelling."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            else:
+                continue
+            if "repro.textsys.engine" in modules:
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == [], "core imports the text engine:\n" + "\n".join(offenders)

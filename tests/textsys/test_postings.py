@@ -5,6 +5,8 @@ from functools import reduce
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.textsys.diskindex import DiskInvertedIndex, build_disk_index
+from repro.textsys.documents import DocumentStore
 from repro.textsys.postings import (
     GALLOP_RATIO,
     Posting,
@@ -23,6 +25,23 @@ doc_sets = st.lists(st.integers(0, 50), unique=True, max_size=20).map(sorted)
 
 def plist(docs):
     return PostingList.from_docs(docs)
+
+
+DISK_TERMS = ["alpha", "beta", "gamma", "delta"]
+
+
+@pytest.fixture(scope="module")
+def disk_index(tmp_path_factory):
+    """A tiny multi-block disk index: term ``t`` of ``DISK_TERMS`` occurs
+    in every document whose number shares a bit with it."""
+    store = DocumentStore(["body"], short_fields=["body"])
+    for number in range(1, 16):
+        words = [t for bit, t in enumerate(DISK_TERMS) if number & (1 << bit)]
+        store.add_record(f"d{number}", body=" ".join(words))
+    path = tmp_path_factory.mktemp("union") / "union.idx"
+    build_disk_index(store, store.field_names, path, block_size=2)
+    with DiskInvertedIndex(path) as index:
+        yield index
 
 
 class TestPostingList:
@@ -146,6 +165,22 @@ class TestKWayKernels:
         lists = [plist([1, 5]), plist([2, 5, 9]), plist([]), plist([0, 9])]
         folded = reduce(union, lists)
         assert union_many(lists).docs() == folded.docs()
+
+    @given(st.lists(doc_sets, max_size=6))
+    def test_union_many_equals_the_pairwise_fold(self, doc_lists):
+        """Zero operands, empty operands, one operand, duplicates across
+        operands: always the fold's answer in a fresh array."""
+        lists = [plist(docs) for docs in doc_lists]
+        result = union_many(lists)
+        assert result == reduce(union, lists, plist([]))
+        assert all(result.doc_array is not operand.doc_array for operand in lists)
+
+    @given(st.lists(st.sampled_from(DISK_TERMS + ["absent"]), max_size=5))
+    def test_union_many_over_lazy_disk_lists(self, disk_index, terms):
+        lists = [disk_index.lookup("body", term) for term in terms]
+        result = union_many(lists)
+        assert result == reduce(union, lists, plist([]))
+        assert all(result.doc_array is not operand.doc_array for operand in lists)
 
     def test_intersect_many_requires_lists(self):
         with pytest.raises(ValueError):
