@@ -26,7 +26,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.joinmethods.base import JoinContext, selection_node
+from repro.core.joinmethods.base import (
+    JoinContext,
+    group_by_columns,
+    selection_node,
+)
 from repro.core.optimizer.estimator import INTERMEDIATE
 from repro.core.optimizer.multiquery import MultiJoinQuery
 from repro.core.optimizer.plan import (
@@ -267,14 +271,10 @@ class _PlanRunner:
         selections = [
             selection_node(selection) for selection in plan.selections
         ]
-        groups: Dict[Tuple[object, ...], List[Row]] = {}
-        for row in child:
-            key = tuple(row[column] for column in plan.probe_columns)
+        probes: List[Tuple[List[Row], object]] = []
+        for key, rows in group_by_columns(list(child), plan.probe_columns).items():
             if any(part is None for part in key):
                 continue
-            groups.setdefault(key, []).append(row)
-        probes: List[Tuple[List[Row], object]] = []
-        for key, rows in groups.items():
             representative = rows[0]
             try:
                 instantiated = [
@@ -400,7 +400,7 @@ class _PlanRunner:
         doc_rows = self._doc_rows(list(distinct.values()), sorted(needed))
         doc_row_cache: Dict[str, Row] = dict(zip(distinct.keys(), doc_rows))
         rows: List[Row] = [
-            pair.row.concat(doc_row_cache[pair.document.docid])
+            Row(schema, pair.row.values + doc_row_cache[pair.document.docid].values)
             for pair in execution.pairs
         ]
         return MaterializedInput(schema, rows)

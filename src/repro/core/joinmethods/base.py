@@ -15,8 +15,8 @@ they return identical results:
 - relational text processing (:func:`rtp_match`) checks a join value
   against a fetched document using the *same* word-level semantics as
   the text system, implemented with SQL-style string matching on the
-  relational side (:func:`~repro.core.textmatch.value_matches_field`) —
-  the text system's own evaluators are never called from here.
+  relational side (:func:`~repro.core.textmatch.tokens_match`) — the
+  text system's own evaluators are never called from here.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.core.query import (
     TextJoinQuery,
     TextSelection,
 )
-from repro.core.textmatch import value_matches_field
+from repro.core.textmatch import tokens_match
 from repro.errors import JoinMethodError, OptimizationError, ReproError
 from repro.gateway.client import TextClient
 from repro.gateway.costs import CostLedger
@@ -272,10 +272,19 @@ def instantiate_predicates(
 def group_by_columns(
     rows: Sequence[Row], columns: Sequence[str]
 ) -> "Dict[Tuple[object, ...], List[Row]]":
-    """Group tuples by their projection on ``columns`` (insertion order)."""
+    """Group tuples by their projection on ``columns`` (insertion order).
+
+    Column positions are resolved once per run of rows sharing a schema
+    object (once per call for one relation's rows), not per row.
+    """
     groups: Dict[Tuple[object, ...], List[Row]] = {}
+    schema = None
+    positions: List[int] = []
     for row in rows:
-        key = tuple(row[column] for column in columns)
+        if row.schema is not schema:
+            schema = row.schema
+            positions = [schema.index_of(column) for column in columns]
+        key = tuple(row.values[position] for position in positions)
         groups.setdefault(key, []).append(row)
     return groups
 
@@ -308,13 +317,19 @@ def rtp_match(
     SQL string processing and the text-system predicate agree.  NULL
     values and values with no indexable word never match.
     """
-    for predicate in predicates:
-        value = row[predicate.column]
-        if value is None:
-            return False
-        if not value_matches_field(str(value), document.field(predicate.field)):
-            return False
-    return True
+    return all(
+        tokens_match(
+            _join_value_tokens(row, predicate.column),
+            tokenize(document.field(predicate.field)),
+        )
+        for predicate in predicates
+    )
+
+
+def _join_value_tokens(row: Row, column: str) -> List[str]:
+    """One join value as match tokens; ``[]`` (never matches) for NULL."""
+    value = row[column]
+    return [] if value is None else tokenize(str(value))
 
 
 def rtp_match_pairs(
@@ -328,12 +343,32 @@ def rtp_match_pairs(
     Charges ``c_a`` for every document × row comparison, then string-
     matches each pair against ``predicates``, returning the joined pairs
     in document-major order (the order all RTP-family methods produce).
+
+    A pair joins exactly when :func:`rtp_match` says so, but each join
+    value and each document field is read and tokenized once per call —
+    the first time a pair reaches its predicate, so columns are looked
+    up exactly when the per-pair form would — not once per pair.
     """
     context.client.charge_rtp(len(documents) * len(rows))
+    # needles[k][r]: row r's tokens for predicate k; None = not read yet.
+    needles: List[List[Optional[List[str]]]] = [[None] * len(rows) for _ in predicates]
+    numbered = list(enumerate(predicates))
     pairs: List[JoinedPair] = []
     for document in documents:
-        for row in rows:
-            if rtp_match(row, document, predicates):
+        haystacks: List[Optional[List[str]]] = [None] * len(predicates)
+        for r, row in enumerate(rows):
+            for k, predicate in numbered:
+                needle = needles[k][r]
+                if needle is None:
+                    needle = needles[k][r] = _join_value_tokens(row, predicate.column)
+                if not needle:
+                    break
+                haystack = haystacks[k]
+                if haystack is None:
+                    haystack = haystacks[k] = tokenize(document.field(predicate.field))
+                if not tokens_match(needle, haystack):
+                    break
+            else:
                 pairs.append(JoinedPair(row, document))
     return pairs
 

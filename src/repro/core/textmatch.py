@@ -11,27 +11,25 @@ locally-evaluated predicates agree with server-evaluated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional
+from typing import FrozenSet, List, Optional
 
 from repro.errors import TypeMismatchError
 from repro.relational.expressions import Expression
 from repro.relational.row import Row
 from repro.textsys.analysis import tokenize
 
-__all__ = ["TextMatch", "value_matches_field"]
+__all__ = ["TextMatch", "tokens_match", "value_matches_field"]
 
 
-def value_matches_field(value: str, field_text: str) -> bool:
-    """True when ``value``'s word sequence occurs in ``field_text``.
+def tokens_match(needle: List[str], haystack: List[str]) -> bool:
+    """True when the word sequence ``needle`` occurs in ``haystack``.
 
-    Single-word values match any occurrence of the word; multi-word
-    values match as a consecutive word sequence (the text system's
-    phrase semantics).  Values with no indexable words never match.
+    The one implementation of the local match, on :func:`tokenize`
+    output, so a caller matching many pairs tokenizes each side once.
+    An empty ``needle`` (a value with no indexable word) never matches.
     """
-    needle = tokenize(value)
     if not needle:
         return False
-    haystack = tokenize(field_text)
     width = len(needle)
     if width == 1:
         return needle[0] in haystack
@@ -41,13 +39,25 @@ def value_matches_field(value: str, field_text: str) -> bool:
     )
 
 
+def value_matches_field(value: str, field_text: str) -> bool:
+    """True when ``value``'s word sequence occurs in ``field_text``.
+
+    Single-word values match any occurrence of the word; multi-word
+    values match as a consecutive word sequence (the text system's
+    phrase semantics).  Values with no indexable words never match.
+    """
+    return tokens_match(tokenize(value), tokenize(field_text))
+
+
 @dataclass(frozen=True)
 class TextMatch(Expression):
     """``value_column in field_column`` evaluated on relational rows.
 
-    Both operands are expressions yielding strings; typically the left is
-    a relation column (the join value) and the right a document
-    pseudo-column holding a text field.
+    Typically the left operand is a relation column (the join value) and
+    the right a document pseudo-column holding a text field, which must
+    be a string.  The value is matched as ``str(value)``, as the join
+    methods instantiate it, so an ``INTEGER`` join column answers the
+    same inside a text join and deferred to a relational join.
     """
 
     value: Expression
@@ -58,11 +68,11 @@ class TextMatch(Expression):
         field_text = self.field_text.evaluate(row)
         if value is None or field_text is None:
             return None
-        if not isinstance(value, str) or not isinstance(field_text, str):
+        if not isinstance(field_text, str):
             raise TypeMismatchError(
-                f"TextMatch needs strings, got {value!r} and {field_text!r}"
+                f"TextMatch needs a text field, got {field_text!r}"
             )
-        return value_matches_field(value, field_text)
+        return value_matches_field(str(value), field_text)
 
     def referenced_columns(self) -> FrozenSet[str]:
         return self.value.referenced_columns() | self.field_text.referenced_columns()

@@ -177,10 +177,11 @@ class NestedLoopJoin(Operator):
         self.comparisons = 0
 
     def __iter__(self) -> Iterator[Row]:
+        schema = self.output_schema
         right_rows = list(self.right)
         for left_row in self.left:
             for right_row in right_rows:
-                joined = left_row.concat(right_row)
+                joined = Row(schema, left_row.values + right_row.values)
                 if self.predicate is None:
                     yield joined
                     continue
@@ -219,6 +220,7 @@ class HashJoin(Operator):
         self.comparisons = 0
 
     def __iter__(self) -> Iterator[Row]:
+        schema = self.output_schema
         build: Dict[Tuple[Any, ...], List[Row]] = {}
         for row in self.right:
             key = tuple(row.values[i] for i in self._right_indexes)
@@ -230,7 +232,7 @@ class HashJoin(Operator):
             if any(part is None for part in key):
                 continue
             for right_row in build.get(key, ()):
-                joined = left_row.concat(right_row)
+                joined = Row(schema, left_row.values + right_row.values)
                 if self.residual is not None:
                     self.comparisons += 1
                     if self.residual.evaluate(joined) is not True:
@@ -247,10 +249,11 @@ class CrossProduct(Operator):
         self.output_schema = left.output_schema.concat(right.output_schema)
 
     def __iter__(self) -> Iterator[Row]:
+        schema = self.output_schema
         right_rows = list(self.right)
         for left_row in self.left:
             for right_row in right_rows:
-                yield left_row.concat(right_row)
+                yield Row(schema, left_row.values + right_row.values)
 
 
 def materialize(operator: Operator) -> MaterializedInput:

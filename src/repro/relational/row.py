@@ -1,9 +1,11 @@
 """Rows: immutable tuples bound to a schema.
 
 A :class:`Row` pairs a value tuple with the :class:`~repro.relational.schema.Schema`
-that names its positions.  Rows are cheap to create (``__slots__``, no
-copying of the schema) because join operators materialize large numbers of
-them.
+that names its positions.  ``Row(schema, values)`` is cheap (``__slots__``,
+the schema shared by reference) because join operators materialize large
+numbers of them, each against the operator's one ``output_schema``.
+:meth:`Row.concat` and :meth:`Row.project` are not: each call builds and
+validates a fresh ``Schema`` — conveniences for one-off rows, not loops.
 """
 
 from __future__ import annotations
@@ -69,10 +71,18 @@ class Row:
         }
 
     def project(self, names: Sequence[str]) -> "Row":
-        """A new row with only the named columns, in the given order."""
+        """A new row with only the named columns, in the given order.
+
+        Convenience, one schema per call; operators build rows against
+        their ``output_schema``.
+        """
         schema = self.schema.project(names)
         return Row(schema, tuple(self[name] for name in names))
 
     def concat(self, other: "Row") -> "Row":
-        """Concatenate two rows (join output)."""
+        """Concatenate two rows (join output).
+
+        Convenience, one schema per call; operators build rows against
+        their ``output_schema``.
+        """
         return Row(self.schema.concat(other.schema), self.values + other.values)

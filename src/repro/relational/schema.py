@@ -138,9 +138,14 @@ class Schema:
         return Schema(column.qualified(qualifier) for column in self._columns)
 
     def concat(self, other: "Schema") -> "Schema":
-        """Concatenate two schemas (for join outputs)."""
+        """Concatenate two schemas (for join outputs).
+
+        Convenience, one schema built and validated per call; operators
+        call it in their constructor and build rows against the result.
+        """
         return Schema(self._columns + other._columns)
 
     def project(self, names: Sequence[str]) -> "Schema":
-        """A schema containing only the named columns, in the given order."""
+        """A schema containing only the named columns, in the given order
+        (one schema per call, like :meth:`concat`: once per operator)."""
         return Schema(self.column(name) for name in names)

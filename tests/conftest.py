@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.joinmethods.base import JoinContext
@@ -31,6 +33,22 @@ def scenario_context(scenario, batch_limit=None) -> JoinContext:
     return JoinContext(
         scenario.catalog, TextClient(server, constants=scenario.constants)
     )
+
+
+@contextmanager
+def counting_schemas(monkeypatch):
+    """Yield a list that collects every ``Schema`` constructed inside
+    the block (the count guards: one per operator, not one per row)."""
+    built = []
+    original = Schema.__init__
+
+    def counting_init(self, columns):
+        built.append(self)
+        original(self, columns)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Schema, "__init__", counting_init)
+        yield built
 
 
 @pytest.fixture

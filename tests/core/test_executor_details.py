@@ -4,10 +4,12 @@ short-to-long-form upgrade path."""
 import pytest
 
 from repro.core.executor import document_row, document_schema, execute_plan
+from repro.core.joinmethods import RelationalTextProcessing, TupleSubstitution
 from repro.core.joinmethods.base import JoinContext
 from repro.core.optimizer.enumerate import optimize_multijoin
 from repro.core.optimizer.estimator import PlanEstimator
 from repro.core.optimizer.multiquery import MultiJoinQuery
+from repro.core.optimizer.plan import JoinNode, ScanNode, TextJoinNode, TextScanNode
 from repro.core.query import TextJoinPredicate, TextSelection
 from repro.gateway.client import TextClient
 from repro.relational.catalog import Catalog
@@ -108,3 +110,50 @@ class TestLongFormUpgrade:
                 )
             )
         assert len(results) == 1
+
+
+class TestIntegerJoinColumn:
+    def test_same_answer_whichever_plan_evaluates_the_predicate(
+        self, world_with_hidden_field
+    ):
+        """``edition.year in year`` over an INTEGER column: instantiated
+        into a search (TS), string-matched by RTP, or deferred to a
+        relational join over a text scan (``TextMatch``) — every plan
+        matches ``str(value)`` and returns the same rows."""
+        catalog, server = world_with_hidden_field
+        edition = catalog.create_table(
+            "edition", Schema.of(("year", DataType.INTEGER))
+        )
+        edition.insert_many([[1993], [1850], [None]])
+        predicate = TextJoinPredicate("edition.year", "year")
+        selections = (TextSelection("report", "title"),)
+        query = MultiJoinQuery(
+            relations=("edition",),
+            text_predicates=(predicate,),
+            text_selections=selections,
+            text_source="m",
+        )
+        plans = [
+            TextJoinNode(
+                ScanNode("edition"), TupleSubstitution(), (predicate,), selections
+            ),
+            TextJoinNode(
+                ScanNode("edition"),
+                RelationalTextProcessing(),
+                (predicate,),
+                selections,
+            ),
+            JoinNode(
+                TextScanNode(selections),
+                ScanNode("edition"),
+                text_match_predicates=(predicate,),
+            ),
+        ]
+        keys = [
+            execute_plan(
+                plan, query, JoinContext(catalog, TextClient(server))
+            ).result_keys()
+            for plan in plans
+        ]
+        assert keys[0] == keys[1] == keys[2]
+        assert {dict(key)["m.docid"] for key in keys[0]} == {"d1", "d2"}

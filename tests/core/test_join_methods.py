@@ -96,6 +96,34 @@ class TestRtp:
         # 2 'belief update' docs x 3 AI students.
         assert tiny_context.client.ledger.rtp_documents == 2 * 3
 
+    def test_match_phase_tokenizes_each_value_and_field_once(
+        self, tiny_context, tiny_store, monkeypatch
+    ):
+        """D documents x R rows x k predicates costs at most k*(D + R)
+        tokenizations, not two per candidate pair: what is constant for
+        a row or a document is computed once per call."""
+        import repro.core.joinmethods.base as base
+        import repro.core.textmatch as textmatch
+        from repro.textsys.analysis import tokenize
+
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(base, "tokenize", counting_tokenize)
+        monkeypatch.setattr(textmatch, "tokenize", counting_tokenize)
+        documents = list(tiny_store)
+        rows = list(tiny_context.catalog.table("student").scan())
+        predicates = q4_query().join_predicates
+        pairs = base.rtp_match_pairs(tiny_context, documents, rows, predicates)
+        assert {pair.key() for pair in pairs} == {
+            (("radhika", "AI", 4, "garcia"), "d1")
+        }
+        assert tiny_context.client.ledger.rtp_documents == 4 * 5
+        assert len(calls) <= len(predicates) * (len(documents) + len(rows))
+
 
 class TestSemiJoin:
     def test_docids_only(self, tiny_context):

@@ -59,11 +59,21 @@ class TestExpression:
         assert EXPR.evaluate(row("x", None)) is None
 
     def test_non_string_rejected(self):
-        schema = Schema.of(("s.value", DataType.INTEGER), ("d.field", DataType.VARCHAR))
+        """The *field* side must be text."""
+        schema = Schema.of(("s.value", DataType.VARCHAR), ("d.field", DataType.INTEGER))
         with pytest.raises(TypeMismatchError):
             TextMatch(ColumnRef("s.value"), ColumnRef("d.field")).evaluate(
-                Row(schema, [1, "x"])
+                Row(schema, ["x", 1])
             )
+
+    def test_integer_value_matches_its_digits(self):
+        """The *value* side is matched as ``str(value)``, as the join
+        methods instantiate it (``instantiate_predicates``, ``rtp_match``)."""
+        schema = Schema.of(("s.value", DataType.INTEGER), ("d.field", DataType.VARCHAR))
+        expression = TextMatch(ColumnRef("s.value"), ColumnRef("d.field"))
+        assert expression.evaluate(Row(schema, [1993, "may 1993"])) is True
+        assert expression.evaluate(Row(schema, [1850, "may 1993"])) is False
+        assert expression.evaluate(Row(schema, [None, "may 1993"])) is None
 
     def test_referenced_columns(self):
         assert EXPR.referenced_columns() == {"s.value", "d.field"}

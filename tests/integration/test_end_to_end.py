@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.joinmethods import TupleSubstitution
 
-from tests.conftest import scenario_context
+from tests.conftest import counting_schemas, scenario_context
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +84,24 @@ class TestMultiJoinEndToEnd:
         assert results["traditional"] == results["prl"] == results["extended"]
         assert costs["prl"] <= costs["traditional"] + 1e-9
         assert costs["extended"] <= costs["prl"] + 1e-9
+
+    def test_q5_prl_execution_builds_one_schema_per_operator(
+        self, scenario, monkeypatch
+    ):
+        """Q5's relational join visits 6,600 candidate pairs; executing
+        the plan builds a handful of schemas (one per join node), not
+        one per pair — and what it computes is pinned alongside."""
+        query = scenario.q5()
+        optimized = optimize_multijoin(
+            query, PlanEstimator(query, scenario.context()), space="prl"
+        )
+        with counting_schemas(monkeypatch) as built:
+            execution = execute_plan(optimized.plan, query, scenario.context())
+        assert len(built) < 50
+        assert len(execution.rows) == 10
+        assert execution.relational_comparisons == 6600
+        assert execution.cost.total == pytest.approx(169.63346, abs=1e-5)
+        assert all(row.schema is execution.schema for row in execution.rows)
 
     def test_q5_result_keys_ignore_join_order(self, scenario):
         """With a batch-capable source ``extended`` joins in another

@@ -20,6 +20,7 @@ from repro.relational.operators import (
 from repro.relational.schema import Schema
 from repro.relational.table import Table
 from repro.relational.types import DataType
+from tests.conftest import counting_schemas
 
 
 @pytest.fixture
@@ -137,6 +138,39 @@ class TestJoins:
             "d.dept",
             "d.floor",
         ]
+
+
+class TestOneSchemaPerOperator:
+    """A join derives its output schema once, in the constructor — the
+    number of ``Schema`` objects it builds does not grow with the number
+    of candidate pairs."""
+
+    @staticmethod
+    def schemas_built(monkeypatch, make_join, size):
+        lt = Table("l", Schema.of(("k", DataType.INTEGER)))
+        rt = Table("r", Schema.of(("k", DataType.INTEGER)))
+        lt.insert_many([[0]] * size)
+        rt.insert_many([[0]] * size)
+        with counting_schemas(monkeypatch) as built:
+            rows = list(make_join(TableScan(lt), TableScan(rt)))
+        assert len(rows) == size * size
+        return len(built)
+
+    @pytest.mark.parametrize(
+        "make_join",
+        [
+            lambda left, right: NestedLoopJoin(
+                left, right, Comparison("=", ColumnRef("l.k"), ColumnRef("r.k"))
+            ),
+            lambda left, right: HashJoin(left, right, [("l.k", "r.k")]),
+            CrossProduct,
+        ],
+        ids=["nested_loop", "hash", "cross_product"],
+    )
+    def test_schema_count_independent_of_pair_count(self, monkeypatch, make_join):
+        small = self.schemas_built(monkeypatch, make_join, 10)
+        large = self.schemas_built(monkeypatch, make_join, 40)
+        assert small == large
 
 
 class TestMaterialize:
