@@ -2,9 +2,9 @@
 
 - **Batched invocations** (B+TS): invocation cost collapses by the batch
   factor while preserving per-tuple answer correspondence.
-- **Published statistics**: predicate statistics from the text system's
-  exported vocabulary catalogue cost zero searches, vs one search per
-  sampled value.
+- **Published statistics**: exact predicate statistics read from the
+  text system's published document frequencies cost zero searches, vs
+  one metered search per sampled value.
 - **Adaptive execution**: with deliberately wrong statistics the fetch
   guard aborts the mis-chosen plan and the fallback still answers the
   query.
@@ -19,8 +19,10 @@ from repro.core.inputs import build_cost_inputs
 from repro.core.joinmethods import BatchedTupleSubstitution, TupleSubstitution
 from repro.core.joinmethods.base import JoinContext
 from repro.gateway.client import TextClient
-from repro.gateway.published import published_predicate_statistics
-from repro.gateway.sampling import sample_predicate_statistics
+from repro.gateway.sampling import (
+    exact_predicate_statistics,
+    sample_predicate_statistics,
+)
 from repro.textsys.server import BooleanTextServer
 
 
@@ -85,15 +87,17 @@ def test_published_statistics_eliminate_probes(scenario, benchmark):
     )
     sampled_invocations = sampling_client.ledger.searches
 
+    searches_before = scenario.server.counters.searches
     published = benchmark(
-        published_predicate_statistics,
-        scenario.server,
+        exact_predicate_statistics,
+        scenario.client(),
         "project.member",
         "author",
         values,
     )
     assert sampled_invocations == 30
-    # The published path is exact over ALL values and sends nothing.
+    # The directory path is exact over ALL values and sends no search.
+    assert scenario.server.counters.searches == searches_before
     assert 0 <= published.selectivity <= 1
     print()
     print(

@@ -212,7 +212,7 @@ def execute_adaptively(
     if not choices:
         raise OptimizationError(f"no applicable method for {query!r}")
 
-    fingerprint = corpus_fingerprint(context.client.server)
+    fingerprint = corpus_fingerprint(context.client)
     attempts: List[AdaptiveAttempt] = []
     attempted_names = set()
     reoptimizations = 0

@@ -27,7 +27,7 @@ multibackend scenario asserts on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.core.costmodel import VectorCostInputs
 from repro.core.explain import method_table
@@ -95,8 +95,9 @@ def build_vector_cost_inputs(
     """Measure what the V-TOPK / V-SCAN formulas need for one predicate.
 
     Per-binding postings come from the backend's published per-term
-    document frequencies (the Section 2.3 meta interface — free, like
-    ``exact_predicate_statistics``).  The expected result size is
+    document frequencies — one directory read through the client over
+    the bindings' distinct tokens, uncharged like
+    ``exact_predicate_statistics``.  The expected result size is
     ``min(top_k, candidate documents)`` with the candidate count
     *overestimated* by the summed frequencies — a deliberate bias in the
     same spirit as the paper's distinct-count default: it favors V-SCAN
@@ -104,26 +105,28 @@ def build_vector_cost_inputs(
     """
     client = context.client
     ensure_plannable(predicate.source_kind, client)
-    bindings: List[str] = []
+    bindings: List[Set[str]] = []
     seen = set()
     for row in rows:
         value = row[predicate.column]
         if value is None:
             continue
         text = str(value)
-        if text in seen or not tokenize(text):
+        tokens = set(tokenize(text))
+        if text in seen or not tokens:
             continue
         seen.add(text)
-        bindings.append(text)
+        bindings.append(tokens)
 
+    vocabulary = sorted(set().union(*bindings))
+    frequency = dict(
+        zip(vocabulary, client.document_frequencies(predicate.field, vocabulary))
+    )
     total_postings = 0.0
     total_results = 0.0
     document_count = client.document_count
-    for text in bindings:
-        postings = sum(
-            client.server.document_frequency(predicate.field, token)
-            for token in set(tokenize(text))
-        )
+    for tokens in bindings:
+        postings = sum(frequency[token] for token in tokens)
         total_postings += postings
         candidates = min(float(postings), float(document_count))
         if predicate.top_k is not None:

@@ -8,12 +8,18 @@ This module gathers them, for every planner alike:
   a cheap local operation any DBMS catalog supports;
 - text predicate statistics come from a
   :class:`~repro.gateway.statistics.TextStatisticsRegistry` when already
-  sampled, and are otherwise estimated on the spot — either *exactly*
-  (every distinct value, for calibrated experiments) or by metered
-  *sampling* (Section 4.2's approach, whose cost is amortized across
-  queries on the same predicate);
+  gathered, and are otherwise measured on the spot — either *exactly*
+  (every distinct value, answered from the source's published directory
+  of document frequencies; only a multi-word value costs a search, and
+  that one is unmetered) or by metered *sampling* (Section 4.2's
+  approach, whose cost is amortized across queries on the same
+  predicate);
 - selection statistics (``E_sel``, ``I_sel``) are measured with one
-  search of the selection conjunction.
+  unmetered search of the selection conjunction.
+
+Every read goes through the :class:`~repro.gateway.client.TextClient`:
+exact-mode gathering charges nothing, but it is settled and traced there
+like any other traffic.
 """
 
 from __future__ import annotations
@@ -90,11 +96,11 @@ def source_capabilities(client: TextClient) -> Dict[str, Any]:
 def selection_statistics(
     selections: Sequence[TextSelection], client: TextClient
 ) -> SelectionStatistics:
-    """``E_sel`` / ``I_sel``: one search of the selection conjunction."""
+    """``E_sel`` / ``I_sel``: one unmetered search of the conjunction."""
     if not selections:
         return SelectionStatistics.absent()
     nodes = [selection_node(selection) for selection in selections]
-    result = client.server.search(and_all(nodes))
+    result = client.statistics_search(and_all(nodes))
     return SelectionStatistics(
         result_size=float(len(result)),
         postings=float(result.postings_processed),
@@ -122,6 +128,7 @@ def predicate_statistics(
     weighting can evolve between runs without poisoning the cache.
     """
     gathered: Dict[str, PredicateStatistics] = {}
+    fingerprint = corpus_fingerprint(client) if feedback is not None else None
     for predicate in predicates:
         column, field = predicate.column, predicate.field
         if registry is not None and registry.has(column, field):
@@ -134,9 +141,7 @@ def predicate_statistics(
                     column=column, field=field, selectivity=0.0, fanout=0.0
                 )
             elif exact:
-                stats = exact_predicate_statistics(
-                    client.server, column, field, values
-                )
+                stats = exact_predicate_statistics(client, column, field, values)
             else:
                 stats = sample_predicate_statistics(
                     client, column, field, values, sample_size=sample_size, rng=rng
@@ -144,7 +149,7 @@ def predicate_statistics(
             if registry is not None:
                 registry.put(stats)
         if feedback is not None:
-            stats = feedback.blend(stats, corpus_fingerprint(client.server))
+            stats = feedback.blend(stats, fingerprint)
         gathered[column] = stats
     return gathered
 
@@ -163,11 +168,14 @@ def build_cost_inputs(
 
     With ``exact=True`` (the default, matching the paper's calibrated
     experiments) predicate statistics are computed over every distinct
-    column value via the server's meta interface.  With ``exact=False``
-    they are estimated by metered sampling through the client.  Either
-    way, results are cached in ``registry`` when one is provided, and
-    ``feedback`` blends observed statistics into each prior (see
-    :func:`predicate_statistics`).
+    column value from the source's published document frequencies — a
+    directory read per one-word value, one unmetered search per
+    multi-word value — and nothing is charged; the selection
+    conjunction is the one search an all-one-word query still sends.
+    With ``exact=False`` they are estimated by metered sampling.  Either
+    way every read goes through the client, results are cached in
+    ``registry`` when one is provided, and ``feedback`` blends observed
+    statistics into each prior (see :func:`predicate_statistics`).
     """
     client = context.client
     capabilities = source_capabilities(client)

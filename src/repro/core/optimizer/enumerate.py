@@ -242,8 +242,11 @@ def _text_join_alternatives(
             available_predicates=available,
             selections=query.text_selections,
         )
-        estimator.annotate(node)
-        plans.append(node)
+        # ``join_tasks`` is E9's pinned complexity counter: each priced
+        # alternative counts as one task plus its child's re-annotation.
+        estimator.annotate(child)
+        estimator.join_tasks += 1
+        plans.append(estimator.price_text_join(node, choice))
     return plans
 
 

@@ -226,20 +226,26 @@ class PlanEstimator:
 
         if isinstance(plan, TextJoinNode):
             self.annotate(plan.child)
-            choice = self._best_text_join_choice(plan)
-            inputs = self.text_join_inputs(plan.child, plan.available_predicates)
-            columns = tuple(p.column for p in plan.available_predicates)
-            plan.estimated_rows = inputs.total_documents(
-                inputs.tuple_count, columns
-            )
-            plan.estimated_cost = plan.child.estimated_cost + choice.estimate.total
-            return plan
+            return self.price_text_join(plan, self._best_text_join_choice(plan))
 
         raise PlanError(f"unknown plan node {type(plan).__name__}")
 
     # ------------------------------------------------------------------
     # node pricing helpers (also used by the enumerator)
     # ------------------------------------------------------------------
+    def price_text_join(self, plan: TextJoinNode, choice: MethodChoice) -> TextJoinNode:
+        """Fill a text join's estimates from the choice that runs it.
+
+        The child must already be annotated.  The enumerator holds the
+        :class:`MethodChoice` each node was built from and passes it;
+        :meth:`annotate` looks it up for a hand-built plan.
+        """
+        inputs = self.text_join_inputs(plan.child, plan.available_predicates)
+        columns = tuple(p.column for p in plan.available_predicates)
+        plan.estimated_rows = inputs.total_documents(inputs.tuple_count, columns)
+        plan.estimated_cost = plan.child.estimated_cost + choice.estimate.total
+        return plan
+
     def _relational_selectivity(self, predicate: RelationalJoinPredicate) -> float:
         expression = predicate.expression
         if isinstance(expression, Comparison):

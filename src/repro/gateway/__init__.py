@@ -23,11 +23,6 @@ from repro.gateway.costs import (
 )
 from repro.gateway.registry import BackendBinding, BackendRegistry
 from repro.gateway.tracing import CallSpan, CallTracer, format_trace
-from repro.gateway.published import (
-    FieldStatistics,
-    field_statistics,
-    published_predicate_statistics,
-)
 from repro.gateway.sampling import (
     exact_predicate_statistics,
     sample_predicate_statistics,
@@ -65,7 +60,4 @@ __all__ = [
     "joint_fanout",
     "sample_predicate_statistics",
     "exact_predicate_statistics",
-    "FieldStatistics",
-    "field_statistics",
-    "published_predicate_statistics",
 ]

@@ -6,7 +6,9 @@ Every database-side access to the external text system goes through
 cost into a :class:`~repro.gateway.costs.CostLedger`.  The client also
 republishes the source's capability record (``document_count``,
 ``term_limit``, ``batch_limit``, ``source_kind``, ``field_names``,
-``short_fields``), so planning and execution code never reaches past it.
+``short_fields``), its ``data_version`` and planning's two unmetered
+statistics reads (``document_frequencies``, ``statistics_search``), so
+planning and execution code never reaches past it.
 
 This is the reproduction's substitute for the paper's live network link
 between OpenODB and the CMU Mercury server: instead of paying real
@@ -32,13 +34,13 @@ Three optional layers ride on the gateway:
   ``ledger.seconds_shared`` when there is none.  With neither a cache
   nor a table every search is dispatched directly.
 - a :class:`~repro.gateway.tracing.CallTracer`: every search, probe,
-  batch and retrieval becomes a span labelled with the current execution
-  phase (scan/probe/TS/SJ-batch/RTP).
+  batch, retrieval and statistics read becomes a span labelled with the
+  current execution phase (scan/probe/TS/SJ-batch/RTP).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import GatewayError
 from repro.gateway.cache import CacheStats, GatewayCache
@@ -475,6 +477,41 @@ class TextClient:
     def short_fields(self) -> Tuple[str, ...]:
         """The fields short-form answers carry (what RTP can match on)."""
         return self.server.short_fields
+
+    @property
+    def data_version(self) -> int:
+        """The source's mutation counter, read fresh."""
+        return self.server.data_version
+
+    def document_frequencies(self, field: str, terms: Sequence[str]) -> List[int]:
+        """Directory read: how many documents hold each term in ``field``.
+
+        Planning traffic (Section 8's published statistics): nothing is
+        charged and no budget consulted.  The whole list is one settle
+        and one ``"stats"`` span.
+        """
+        frequency = self.server.document_frequency
+        try:
+            frequencies = [frequency(field, term) for term in terms]
+        finally:
+            self._settle_transport()
+        expression = f"<{len(terms)} document frequencies in {field}>"
+        self.tracer.record("stats", expression, len(terms), 0, cost=0.0)
+        return frequencies
+
+    def statistics_search(self, query: Union[SearchNode, str]) -> ResultSet:
+        """One *unmetered*, uncached search, for what the directory cannot
+        answer (a selection conjunction, a phrase value): charged to
+        nobody, but settled and traced (``"stats"``) like any call."""
+        query, expression = self._canonical(query)
+        try:
+            result = self.server.search(query)
+        finally:
+            self._settle_transport()
+        self.tracer.record(
+            "stats", expression, len(result), result.postings_processed, cost=0.0
+        )
+        return result
 
     def reset_accounting(self, include_cache_stats: bool = False) -> None:
         """Zero the ledger and the trace (server counters and cache kept).

@@ -1,36 +1,36 @@
-"""Sampling-based estimation of predicate selectivity and fanout (Section 4.2).
+"""Predicate selectivity and fanout, sampled or exact (Sections 4.2 and 8).
 
 "To estimate these statistics, we employ sampling techniques.  We sample
 terms from column *i*, access the text retrieval system to check if they
 appear in field *i* of some document, and obtain the frequencies if so."
 
-:func:`sample_predicate_statistics` draws a random sample of distinct
-column values, sends one single-term search per sampled value through a
-:class:`~repro.gateway.client.TextClient` (so sampling cost is metered —
-the paper amortizes it across queries on the same predicate), and
-estimates:
+One loop turns a column's values into ``(s_i, f_i)``: the distinct
+non-NULL strings, the values chosen among them, one match count each,
+then
 
-- ``s_i`` = fraction of sampled terms that matched at least one document;
-- ``f_i`` = mean result-set size over *all* sampled terms (zero matches
+- ``s_i`` = fraction of chosen values that matched at least one document;
+- ``f_i`` = mean match count over *all* chosen values (zero matches
   included), so that ``n`` searches over random tuples are expected to
   return ``n * f_i`` documents — the role ``f_i`` plays in the Section
   4.3 formulas.
 
-:func:`exact_predicate_statistics` computes the same two numbers exactly
-from the full value list, for tests and for calibrated experiments where
-estimation error should be zero.
+:func:`sample_predicate_statistics` chooses a random sample and counts
+each value with one *metered* search (sampling is a real cost — the
+paper amortizes it across queries on the same predicate).
+:func:`exact_predicate_statistics` chooses every value and asks the
+published directory first (Section 8), charging nothing.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import StatisticsError
 from repro.gateway.client import TextClient
 from repro.gateway.statistics import PredicateStatistics
-from repro.textsys.query import make_term
-from repro.textsys.server import BooleanTextServer
+from repro.textsys.analysis import tokenize
+from repro.textsys.query import data_term
 
 __all__ = [
     "sample_predicate_statistics",
@@ -50,6 +50,36 @@ def _distinct_strings(values: Iterable[object]) -> List[str]:
     return out
 
 
+def _predicate_statistics(
+    column: str,
+    field: str,
+    values: Iterable[object],
+    choose: Callable[[List[str]], List[str]],
+    count_matches: Callable[[List[Tuple[str, List[str]]]], List[int]],
+) -> PredicateStatistics:
+    """The one ``(s_i, f_i)`` loop.
+
+    Values are tokenized as every join method instantiates them
+    (``data_term``: a trailing ``?`` is punctuation, not truncation).
+    ``count_matches`` maps the chosen ``(value, words)`` pairs that have
+    an indexable word to one match count each; a value without one never
+    matches, so it is a miss the source is not asked about.
+    """
+    distinct = _distinct_strings(values)
+    if not distinct:
+        raise StatisticsError(f"column {column!r} has no non-NULL values")
+    chosen = choose(distinct)
+    tokenized = ((text, tokenize(text)) for text in chosen)
+    counts = count_matches([pair for pair in tokenized if pair[1]])
+    return PredicateStatistics(
+        column=column,
+        field=field,
+        selectivity=sum(1 for count in counts if count) / len(chosen),
+        fanout=sum(counts) / len(chosen),
+        sample_size=len(chosen),
+    )
+
+
 def sample_predicate_statistics(
     client: TextClient,
     column: str,
@@ -61,28 +91,19 @@ def sample_predicate_statistics(
     """Estimate ``(s_i, f_i)`` for ``column in field`` by metered sampling."""
     if sample_size < 1:
         raise StatisticsError("sample size must be at least 1")
-    distinct = _distinct_strings(values)
-    if not distinct:
-        raise StatisticsError(f"column {column!r} has no non-NULL values to sample")
     rng = rng or random.Random(0)
-    chosen = (
-        distinct
-        if len(distinct) <= sample_size
-        else rng.sample(distinct, sample_size)
-    )
-    matched = 0
-    total_results = 0
-    for term_text in chosen:
-        result = client.search(make_term(field, term_text))
-        if not result.is_empty:
-            matched += 1
-        total_results += len(result)
-    return PredicateStatistics(
-        column=column,
-        field=field,
-        selectivity=matched / len(chosen),
-        fanout=total_results / len(chosen),
-        sample_size=len(chosen),
+
+    def sample(distinct: List[str]) -> List[str]:
+        if len(distinct) <= sample_size:
+            return distinct
+        return rng.sample(distinct, sample_size)
+
+    return _predicate_statistics(
+        column,
+        field,
+        values,
+        sample,
+        lambda pairs: [len(client.search(data_term(field, text))) for text, _ in pairs],
     )
 
 
@@ -118,31 +139,27 @@ def observed_predicate_statistics(
 
 
 def exact_predicate_statistics(
-    server: BooleanTextServer,
+    client: TextClient,
     column: str,
     field: str,
     values: Sequence[object],
 ) -> PredicateStatistics:
     """Compute ``(s_i, f_i)`` exactly over every distinct column value.
 
-    Uses the server's published meta interface (document frequencies)
-    rather than metered searches; intended for tests and calibrated
-    benchmark setups.
+    Nothing is charged.  All one-word values are answered by a single
+    directory read (:meth:`TextClient.document_frequencies` — for such a
+    value the frequency *is* its search's result size); each multi-word
+    value costs one :meth:`TextClient.statistics_search` of its phrase.
     """
-    distinct = _distinct_strings(values)
-    if not distinct:
-        raise StatisticsError(f"column {column!r} has no non-NULL values")
-    matched = 0
-    total_results = 0
-    for term_text in distinct:
-        result = server.search(make_term(field, term_text))
-        if not result.is_empty:
-            matched += 1
-        total_results += len(result)
-    return PredicateStatistics(
-        column=column,
-        field=field,
-        selectivity=matched / len(distinct),
-        fanout=total_results / len(distinct),
-        sample_size=len(distinct),
-    )
+
+    def directory_first(pairs: List[Tuple[str, List[str]]]) -> List[int]:
+        frequencies = client.document_frequencies(
+            field, [words[0] for _, words in pairs if len(words) == 1]
+        )
+        return frequencies + [
+            len(client.statistics_search(data_term(field, text)))
+            for text, words in pairs
+            if len(words) > 1
+        ]
+
+    return _predicate_statistics(column, field, values, list, directory_first)

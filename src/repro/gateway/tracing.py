@@ -1,10 +1,11 @@
 """Foreign-call tracing: every gateway operation becomes a span.
 
 The paper's central claim is that foreign text-system calls dominate
-query cost, so the gateway records *every* search, probe, batch and
-long-form retrieval as a :class:`CallSpan` — what was sent, during which
-execution phase (scan / probe / TS / SJ-batch / RTP), what it cost, and
-whether the gateway cache answered it without touching the text system.
+query cost, so the gateway records *every* search, probe, batch,
+long-form retrieval and unmetered statistics read as a :class:`CallSpan`
+— what was sent, during which execution phase (scan / probe / TS /
+SJ-batch / RTP), what it cost, and whether the gateway cache answered it
+without touching the text system.
 
 Phases are pushed with :meth:`CallTracer.phase` (a context
 manager) by the executor and the join methods; spans inherit the
@@ -22,10 +23,12 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 __all__ = ["CallSpan", "CallTracer", "format_trace"]
 
-#: Span kinds, in the order the gateway can emit them.  The last two are
-#: transport happenings (no foreign result): a retry/give-up on the
-#: remote link and a circuit-breaker state transition.
-SPAN_KINDS = ("search", "probe", "batch", "retrieve", "retry", "breaker")
+#: Span kinds, in the order the gateway can emit them.  ``stats`` is an
+#: unmetered planning read (a directory read or a statistics search).
+#: The last two are transport happenings (no foreign result): a
+#: retry/give-up on the remote link and a circuit-breaker state
+#: transition.
+SPAN_KINDS = ("search", "probe", "batch", "retrieve", "stats", "retry", "breaker")
 
 #: The phase label spans get outside any declared phase.
 UNPHASED = "-"
@@ -36,7 +39,7 @@ class CallSpan:
     """One traced foreign call (or cache hit standing in for one)."""
 
     index: int
-    kind: str  # "search" | "probe" | "batch" | "retrieve"
+    kind: str  # "search" | "probe" | "batch" | "retrieve" | "stats" | ...
     phase: str  # "scan" | "probe" | "TS" | "SJ-batch" | "RTP" | ...
     expression: str
     result_size: int

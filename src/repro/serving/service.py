@@ -321,8 +321,9 @@ class QueryService:
 
         Returns the finished execution, or None when the query is not a
         single text join (multi-join queries keep the default path).
-        Statistics gathering and execution both charge the tenant's own
-        ledger; the feedback store only ever *reads* the spend
+        Statistics gathering passes through the tenant's own client but
+        (exact mode) charges nothing; execution charges the tenant's
+        ledger, and the feedback store only ever *reads* the spend
         afterwards (DESIGN invariant 14).
         """
         from repro.core.feedback import corpus_fingerprint, query_key

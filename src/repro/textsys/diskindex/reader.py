@@ -507,10 +507,6 @@ class DiskInvertedIndex:
             out.append((term, DiskPostingList(self, field, entry)))
         return out
 
-    def document_frequency(self, field: str, term: str) -> int:
-        """Number of documents whose ``field`` contains ``term``."""
-        return len(self.lookup(field, term))
-
     # ------------------------------------------------------------------
     # charge-free metadata (the in-memory directory)
     # ------------------------------------------------------------------
@@ -518,6 +514,11 @@ class DiskInvertedIndex:
         self._check_field(field)
         entry = self._dictionaries[field].get(term)
         return 0 if entry is None else entry.df
+
+    def document_frequency(self, field: str, term: str) -> int:
+        """Number of documents whose ``field`` contains ``term``: the
+        length of its inverted list, read from the directory."""
+        return self.list_length(field, term)
 
     def prefix_terms(self, field: str, prefix: str) -> List[str]:
         self._check_field(field)

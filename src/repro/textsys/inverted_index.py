@@ -171,25 +171,26 @@ class InvertedIndex:
             out.append((term, postings))
         return out
 
-    def document_frequency(self, field: str, term: str) -> int:
-        """Number of documents whose ``field`` contains ``term``."""
-        return len(self.lookup(field, term))
-
     # ------------------------------------------------------------------
     # charge-free metadata (the in-memory directory)
     # ------------------------------------------------------------------
     def list_length(self, field: str, term: str) -> int:
         """The length of one inverted list, from the directory alone.
 
-        Unlike :meth:`lookup`/:meth:`document_frequency`, this charges
-        *no* page reads: per the [DH91] storage model the main-memory
-        directory already knows every list's length without touching
-        disk.  The query rewriter uses it to order conjuncts by document
-        frequency before any list is actually retrieved.
+        Unlike :meth:`lookup`, this charges *no* page reads: per the
+        [DH91] storage model the main-memory directory already knows
+        every list's length without touching disk.  The query rewriter
+        uses it to order conjuncts by document frequency before any list
+        is actually retrieved.
         """
         self._check_field(field)
         postings = self._lists[field].get(term)
         return 0 if postings is None else len(postings)
+
+    def document_frequency(self, field: str, term: str) -> int:
+        """Number of documents whose ``field`` contains ``term``: the
+        length of its inverted list, read from the directory."""
+        return self.list_length(field, term)
 
     def prefix_terms(self, field: str, prefix: str) -> List[str]:
         """The vocabulary terms a truncated search expands to (no charge)."""

@@ -197,7 +197,9 @@ class TestVectorCostInputs:
     def test_postings_measured_from_document_frequencies(self, small_context):
         predicate = VectorJoinPredicate("paper.topic", "topic", top_k=2)
         rows = list(small_context.catalog.table("paper").scan())
+        ledger = small_context.client.ledger.snapshot()
         inputs = build_vector_cost_inputs(predicate, rows, small_context)
+        assert small_context.client.ledger.snapshot() == ledger  # a free read
         server = small_context.client.server
         # binding "belief revision": df(belief)=2 + df(revision)=1 = 3;
         # binding "query optimization": df(query)=1 + df(optimization)=1.

@@ -82,6 +82,33 @@ class TestCallLog:
         assert client.tracer.spans == []
 
 
+class TestStatisticsReads:
+    """The two planning reads: forwarded, settled, traced, never charged."""
+
+    def test_directory_read_is_free_and_sends_no_search(self, tiny_server):
+        client = TextClient(tiny_server, tracer=CallTracer())
+        before = client.ledger.snapshot()
+        counters = tiny_server.counters.snapshot()
+        frequencies = client.document_frequencies("title", ["belief", "zzz"])
+        assert frequencies == [2, 0]
+        assert client.ledger.snapshot() == before
+        assert tiny_server.counters.snapshot() == counters
+        (span,) = client.tracer.spans
+        assert (span.kind, span.result_size, span.cost) == ("stats", 2, 0.0)
+
+    def test_statistics_search_is_a_real_search_nobody_pays_for(self, tiny_server):
+        client = TextClient(tiny_server, tracer=CallTracer())
+        before = client.ledger.snapshot()
+        result = client.statistics_search("TI='belief'")
+        assert result.docids == tiny_server.search("TI='belief'").docids
+        assert client.ledger.snapshot() == before
+        (span,) = client.tracer.spans
+        assert (span.kind, span.expression, span.cost) == (
+            "stats", "title='belief'", 0.0
+        )
+        assert client.tracer.summary()["by_kind"]["stats"] == 1
+
+
 def test_meta_properties(tiny_server):
     client = TextClient(tiny_server)
     assert client.document_count == 4
@@ -90,3 +117,4 @@ def test_meta_properties(tiny_server):
     assert client.source_kind == "boolean"
     assert client.field_names == ("title", "author", "abstract", "year")
     assert client.short_fields == ("title", "author", "year")
+    assert client.data_version == tiny_server.data_version

@@ -1,71 +1,67 @@
-"""Unit tests for published text-system statistics (Section 8)."""
+"""Unit tests for published text-system statistics (Section 8).
+
+The published directory is what :func:`exact_predicate_statistics` asks
+first: a one-word value costs a directory read, never a search.
+"""
 
 import pytest
 
 from repro.errors import StatisticsError
-from repro.gateway.published import (
-    field_statistics,
-    published_predicate_statistics,
+from repro.gateway.client import TextClient
+from repro.gateway.sampling import (
+    exact_predicate_statistics,
+    sample_predicate_statistics,
 )
-from repro.gateway.sampling import exact_predicate_statistics
-
-
-class TestFieldStatistics:
-    def test_summary_values(self, tiny_server):
-        stats = field_statistics(tiny_server, "title")
-        assert stats.field == "title"
-        assert stats.vocabulary_size == tiny_server.index.vocabulary_size("title")
-        assert stats.max_document_frequency == 3  # 'systems'
-        assert stats.total_postings == sum(
-            tiny_server.document_frequency("title", term)
-            for term in tiny_server.index.vocabulary("title")
-        )
-
-    def test_histogram_covers_vocabulary(self, tiny_server):
-        stats = field_statistics(tiny_server, "title")
-        assert sum(count for _, count in stats.frequency_histogram) == (
-            stats.vocabulary_size
-        )
-
-    def test_costs_no_searches(self, tiny_server):
-        before = tiny_server.counters.searches
-        field_statistics(tiny_server, "author")
-        assert tiny_server.counters.searches == before
+from repro.textsys.query import TermQuery
 
 
 class TestPublishedPredicateStatistics:
     def test_single_word_values_exact(self, tiny_server):
-        values = ["radhika", "gravano", "nobody-known"]
-        published = published_predicate_statistics(
-            tiny_server, "c", "author", values
-        )
-        exact = exact_predicate_statistics(tiny_server, "c", "author", values)
-        assert published.selectivity == pytest.approx(exact.selectivity)
-        assert published.fanout == pytest.approx(exact.fanout)
+        """The directory answer *is* the search's result size."""
+        client = TextClient(tiny_server)
+        values = ["radhika", "gravano", "kao"]
+        frequencies = client.document_frequencies("author", values)
+        assert frequencies == [
+            len(tiny_server.search(TermQuery("author", value))) for value in values
+        ]
+        stats = exact_predicate_statistics(client, "c", "author", values)
+        assert stats.selectivity == pytest.approx(2 / 3)
+        assert stats.fanout == pytest.approx(sum(frequencies) / 3)
 
     def test_no_searches_sent(self, tiny_server):
-        before = tiny_server.counters.searches
-        published_predicate_statistics(
-            tiny_server, "c", "author", ["radhika", "gravano"]
-        )
-        assert tiny_server.counters.searches == before
+        client = TextClient(tiny_server)
+        searches = tiny_server.counters.searches
+        ledger = client.ledger.snapshot()
+        exact_predicate_statistics(client, "c", "author", ["radhika", "gravano"])
+        assert tiny_server.counters.searches == searches
+        assert client.ledger.snapshot() == ledger
 
     def test_phrase_values_upper_bound(self, tiny_server):
-        """Phrases use the rarest word's frequency — an overestimate."""
-        values = ["belief revisited"]  # words co-occur only in d3's title
-        published = published_predicate_statistics(
-            tiny_server, "c", "title", values
+        """A phrase is not bounded from per-word frequencies but answered
+        exactly, by one unmetered statistics search."""
+        # "belief" and "revisited" co-occur in d3's title, but not
+        # adjacently; "belief update" is a phrase of d1 and d3.
+        values = ["belief revisited", "belief update"]
+        client = TextClient(tiny_server)
+        searches = tiny_server.counters.searches
+        exact = exact_predicate_statistics(client, "c", "title", values)
+        assert tiny_server.counters.searches == searches + 2
+        assert client.ledger.searches == 0
+        sampled = sample_predicate_statistics(
+            TextClient(tiny_server), "c", "title", values, sample_size=10
         )
-        exact = exact_predicate_statistics(tiny_server, "c", "title", values)
-        assert published.fanout >= exact.fanout
-        assert published.selectivity >= exact.selectivity
+        assert exact == sampled
+        assert (exact.selectivity, exact.fanout) == (0.5, 1.0)
 
     def test_unindexable_values_count_as_misses(self, tiny_server):
-        published = published_predicate_statistics(
-            tiny_server, "c", "author", ["radhika", "???"]
+        stats = exact_predicate_statistics(
+            TextClient(tiny_server), "c", "author", ["radhika", "???"]
         )
-        assert published.selectivity == pytest.approx(0.5)
+        assert stats.selectivity == pytest.approx(0.5)
+        assert stats.sample_size == 2
 
     def test_empty_values_rejected(self, tiny_server):
         with pytest.raises(StatisticsError):
-            published_predicate_statistics(tiny_server, "c", "author", [None])
+            exact_predicate_statistics(
+                TextClient(tiny_server), "c", "author", [None]
+            )

@@ -128,3 +128,16 @@ def test_core_never_imports_the_text_engine():
             if "repro.textsys.engine" in modules:
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert offenders == [], "core imports the text engine:\n" + "\n".join(offenders)
+
+
+def test_core_never_reaches_past_the_client():
+    """Planning and execution talk to the text source through
+    ``TextClient`` only — statistics reads included — so every frame is
+    settled, traced and fault-injectable in one place.  Any ``.server``
+    attribute access under ``core/`` is a reach-around."""
+    offenders = []
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "server":
+                offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
+    assert offenders == [], "core reaches past the client:\n" + "\n".join(offenders)

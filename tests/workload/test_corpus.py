@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import WorkloadError
+from repro.gateway.client import TextClient
 from repro.gateway.sampling import exact_predicate_statistics
 from repro.textsys.server import BooleanTextServer
 from repro.workload.corpus import SyntheticCorpus
@@ -54,7 +55,7 @@ class TestPlantPool:
         assert report.fanout == pytest.approx(0.5 * 3)
         # Verify against the actual index.
         server = BooleanTextServer(corpus.build_store())
-        stats = exact_predicate_statistics(server, "c", "author", pool)
+        stats = exact_predicate_statistics(TextClient(server), "c", "author", pool)
         assert stats.selectivity == pytest.approx(0.5)
         assert stats.fanout == pytest.approx(1.5)
 
