@@ -384,7 +384,8 @@ def finalize_execution(
     """Shape the raw join pairs into the query's requested result form.
 
     For long-form PAIRS queries the distinct matching documents are
-    retrieved (each charged ``c_l``) and substituted into the pairs —
+    retrieved in one ``retrieve_many`` (each charged ``c_l``, nothing if
+    the call fails) and substituted into the pairs —
     mirroring the real system where searches return short forms and full
     documents are fetched by docid.
     """
@@ -400,12 +401,13 @@ def finalize_execution(
 
     execution = MethodExecution(method=method, shape=query.shape)
     if query.shape is ResultShape.PAIRS:
-        if query.long_form:
-            long_forms: Dict[str, Document] = {}
-            for pair in unique_pairs:
-                docid = pair.document.docid
-                if docid not in long_forms:
-                    long_forms[docid] = context.client.retrieve(docid)
+        if query.long_form and unique_pairs:
+            long_forms: Dict[str, Document] = {
+                document.docid: document
+                for document in context.client.retrieve_many(
+                    pair.document.docid for pair in unique_pairs
+                )
+            }
             unique_pairs = [
                 JoinedPair(pair.row, long_forms[pair.document.docid])
                 for pair in unique_pairs

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import GatewayError
+from repro.errors import BudgetExceededError, GatewayError
 from repro.gateway.cache import CacheStats, GatewayCache
 from repro.gateway.costs import CostConstants, CostLedger
 from repro.gateway.inflight import InflightSearchTable
@@ -373,7 +373,9 @@ class TextClient:
         call (remote and sharded transports dispatch it over their
         worker pools, so the fetches overlap on the wire); per-docid
         charges, cache fills, and traced spans are identical to fetching
-        one at a time.  If the call fails, nothing is charged.
+        one at a time.  If the call fails, nothing is charged; if a
+        budgeted ledger crosses its budget partway through the charges,
+        every fetched docid is still charged before the crossing raises.
         """
         wanted = list(dict.fromkeys(docids))
         documents: Dict[str, Document] = {}
@@ -409,8 +411,16 @@ class TextClient:
                     fetched = self.server.retrieve_many(misses)
             finally:
                 self._settle_transport()
+            # Every fetched document was served, so each is charged even
+            # when an earlier charge crosses a budget; the crossing is
+            # re-raised once all of them are accounted for.
+            exceeded: Optional[BudgetExceededError] = None
             for docid, document in zip(misses, fetched):
-                cost = self.ledger.charge_retrieve()
+                try:
+                    cost = self.ledger.charge_retrieve()
+                except BudgetExceededError as exc:
+                    exceeded = exceeded or exc
+                    cost = self.ledger.constants.long_form
                 if self.cache is not None:
                     self.cache.put_retrieve(docid, document, version)
                 if self.tracer.enabled:
@@ -422,6 +432,8 @@ class TextClient:
                         cost=cost,
                     )
                 documents[docid] = document
+            if exceeded is not None:
+                raise exceeded
         return [documents[docid] for docid in wanted]
 
     # ------------------------------------------------------------------

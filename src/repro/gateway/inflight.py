@@ -231,6 +231,16 @@ class InflightSearchTable:
                 outcomes[index] = (result, False)
         return outcomes
 
+    def wake(self) -> None:
+        """Make an open window re-check ``inflight_hint`` now.
+
+        The hint's owner calls this when the count drops (a query
+        finished without searching into the window), so the window
+        closes as soon as it covers every query still executing.
+        """
+        with self._condition:
+            self._condition.notify_all()
+
     def _close(self, window: List[_Flight]) -> List[_Flight]:
         """Lead ``window``: wait until it should run, then detach it."""
         deadline = time.monotonic() + self.window_seconds

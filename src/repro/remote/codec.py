@@ -15,7 +15,9 @@ codecs here define that wire format:
 - request/response **frames** wrap one operation each: a frame id for
   correlation, an op name, and the op's payload.  Batch operations carry
   many queries in one frame so that partial failures can be retried per
-  frame (see :mod:`repro.remote.transport`).
+  frame (see :mod:`repro.remote.transport`).  A payload sent in many
+  frames (one scattered search, every shard) is rendered once with
+  ``render_payload`` and spliced into each frame.
 
 Frames travel as JSON strings; nothing outside this module touches the
 serialised form.  Malformed wire data raises
@@ -26,7 +28,8 @@ key errors.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Tuple
+from json.encoder import encode_basestring_ascii
+from typing import Any, Dict, Tuple, Union
 
 from repro.errors import RemoteProtocolError
 from repro.textsys.documents import Document
@@ -50,6 +53,7 @@ __all__ = [
     "document_from_wire",
     "result_to_wire",
     "result_from_wire",
+    "render_payload",
     "encode_request",
     "decode_request",
     "encode_response",
@@ -172,12 +176,31 @@ def result_from_wire(wire: Dict[str, Any]) -> ResultSet:
 # ----------------------------------------------------------------------
 # frames
 # ----------------------------------------------------------------------
-def encode_request(frame_id: int, op: str, payload: Dict[str, Any]) -> str:
-    """One request frame: ``{"id": n, "op": name, "payload": {...}}``."""
+def render_payload(payload: Dict[str, Any]) -> str:
+    """A request payload's JSON text, rendered once for many frames."""
     try:
-        return json.dumps({"id": frame_id, "op": op, "payload": payload})
+        return json.dumps(payload)
     except (TypeError, ValueError) as exc:
         raise RemoteProtocolError(f"unencodable request payload: {exc}") from exc
+
+
+def encode_request(
+    frame_id: int, op: str, payload: Union[Dict[str, Any], str]
+) -> str:
+    """One request frame: ``{"id": n, "op": name, "payload": {...}}``.
+
+    The payload's text — :func:`render_payload` output, or rendered
+    here from a ``dict`` — is spliced into the frame as it is, so the
+    frame is byte for byte what ``json.dumps`` gives for the whole
+    frame (a payload is always a JSON object, never a JSON string).
+    """
+    if not isinstance(payload, str):
+        payload = render_payload(payload)
+    return '{"id": %d, "op": %s, "payload": %s}' % (
+        frame_id,
+        encode_basestring_ascii(op),
+        payload,
+    )
 
 
 def decode_request(frame: str) -> Tuple[int, str, Dict[str, Any]]:

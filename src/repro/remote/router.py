@@ -8,8 +8,12 @@ retry policy and circuit breaker), so it drops into a
 :class:`~repro.gateway.client.TextClient` exactly like a single remote
 server:
 
-- **searches scatter**: the expression goes to every shard concurrently
-  and the per-shard result sets are merged by
+- **searches scatter**: the expression is rendered to wire text once
+  and goes to every shard — concurrently over a thread pool when a
+  shard call can wait on its link, in order on the caller's thread when
+  none can (``time_scale=0``: there is no wait to overlap, and a pool
+  hop would only add thread hand-offs) — and the per-shard result sets
+  are merged by
   :meth:`~repro.textsys.sharding.ShardedCorpus.merge_results`, which
   restores the single-server docid ordering and sums the per-shard
   ``postings_processed`` counts — so the gateway charges exactly what
@@ -17,7 +21,8 @@ server:
   ``CostLedger.total`` stays bit-identical;
 - **retrievals route**: a docid travels only to the shard that owns it,
   which is where the wall-clock win lives — a ``retrieve_many`` over N
-  shards splits into N concurrent per-shard frame streams;
+  shards splits into N per-shard frame streams, concurrent under the
+  same rule;
 - **failover**: each shard may carry replicas; when the primary's
   transport gives up (retries exhausted, or its circuit breaker refuses
   the call outright), the same call is replayed against the next
@@ -46,7 +51,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import CircuitOpenError, GatewayError, TransportError
 from repro.remote.resilience import CircuitBreaker, RetryPolicy
-from repro.remote.transport import RemoteTextTransport, TransportEvent, TransportStats
+from repro.remote.transport import (
+    RemoteTextTransport,
+    RenderedSearch,
+    TransportEvent,
+    TransportStats,
+)
 from repro.textsys.documents import Document, DocumentStore
 from repro.textsys.parser import parse_search
 from repro.textsys.query import SearchNode
@@ -152,6 +162,13 @@ class ShardedTextTransport:
             )
         self.corpus = corpus
         self.backends = list(backends)
+        # Whether any shard call (primary or replica) can wait on its
+        # link — the only thing the scatter pool overlaps.
+        self._pooled = any(
+            transport.can_wait
+            for backend in self.backends
+            for transport in backend.transports
+        )
         self._lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pending_events: List[TransportEvent] = []
@@ -257,9 +274,8 @@ class ShardedTextTransport:
     def search(self, query: Union[SearchNode, str]) -> ResultSet:
         if isinstance(query, str):
             query = parse_search(query)
-        partials = self._scatter_all(
-            lambda transport, query=query: transport.search(query)
-        )
+        rendered = RenderedSearch(query)
+        partials = self._scatter_all(lambda transport: transport.search(rendered))
         return self._merge(query, partials)
 
     def search_batch(
@@ -286,7 +302,7 @@ class ShardedTextTransport:
         )
 
     def retrieve_many(self, docids: Sequence[str]) -> List[Document]:
-        """Route docids to their shards, fetch the groups concurrently."""
+        """Route docids to their shards, fetch the groups in one scatter."""
         wanted = list(docids)
         if not wanted:
             return []
@@ -457,8 +473,17 @@ class ShardedTextTransport:
         raise last_error  # type: ignore[misc]
 
     def _scatter(self, jobs: Sequence[_Job]) -> List[Any]:
-        """Run the jobs, concurrently when there is more than one."""
-        if len(jobs) <= 1:
+        """Run the jobs, on the scatter pool when a shard call can wait.
+
+        The pool only overlaps link waits.  With a single job, or when
+        no shard transport can wait, the jobs run in order on the
+        calling thread and the first error propagates — the same one the
+        pooled path raises.  The inline path stops there: the shards
+        after the failing job are never called, so after a failed
+        scatter their counters and breakers read as untouched, where the
+        pooled path has called every shard.
+        """
+        if len(jobs) <= 1 or not self._pooled:
             return [self._on_backend(backend, operation) for backend, operation in jobs]
         pool = self._ensure_pool()
         futures = [

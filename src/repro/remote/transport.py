@@ -60,6 +60,7 @@ from repro.remote.codec import (
     document_from_wire,
     encode_request,
     node_to_wire,
+    render_payload,
     result_from_wire,
 )
 from repro.remote.endpoint import TextServerEndpoint, resolve_remote_error
@@ -73,6 +74,7 @@ from repro.textsys.source import DEFAULT_BATCH_LIMIT, check_batch
 __all__ = [
     "TransportEvent",
     "TransportStats",
+    "RenderedSearch",
     "RemoteTextTransport",
     "install_transport",
 ]
@@ -110,6 +112,23 @@ class TransportStats:
             "seconds_retried": self.seconds_retried,
             "wall_seconds": self.wall_seconds,
         }
+
+
+class RenderedSearch:
+    """A search's request payload, rendered to wire text once.
+
+    :meth:`RemoteTextTransport.search` takes one in place of the
+    expression: a scatter renders its search once and every shard
+    transport (primary or replica, first send or retry) splices the same
+    text into its own frame.
+    """
+
+    __slots__ = ("payload",)
+
+    def __init__(self, query: Union[SearchNode, str]) -> None:
+        if isinstance(query, str):
+            query = parse_search(query)
+        self.payload = render_payload({"query": node_to_wire(query)})
 
 
 def install_transport(client: Any, transport: "RemoteTextTransport") -> "RemoteTextTransport":
@@ -193,6 +212,15 @@ class RemoteTextTransport:
         """The channel's fault profile (``None`` on a bare loopback)."""
         return getattr(self.channel, "profile", None)
 
+    @property
+    def can_wait(self) -> bool:
+        """Whether a call may sleep (link latency, backoff pauses).
+
+        False only at ``time_scale=0``; a channel without a time scale
+        counts as able to wait.
+        """
+        return self._time_scale > 0
+
     # ------------------------------------------------------------------
     # published meta information: the capability record is one wire
     # call, then cached; the data version and fingerprint are always
@@ -256,10 +284,10 @@ class RemoteTextTransport:
     # ------------------------------------------------------------------
     # the foreign operations
     # ------------------------------------------------------------------
-    def search(self, query: Union[SearchNode, str]) -> ResultSet:
-        if isinstance(query, str):
-            query = parse_search(query)
-        payload = self._call("search", {"query": node_to_wire(query)}, "search")
+    def search(self, query: Union[SearchNode, str, RenderedSearch]) -> ResultSet:
+        if not isinstance(query, RenderedSearch):
+            query = RenderedSearch(query)
+        payload = self._call("search", query.payload, "search")
         return result_from_wire(payload["result"])
 
     def search_batch(
@@ -429,7 +457,9 @@ class RemoteTextTransport:
         if real > 0:
             self._sleep(real)
 
-    def _call(self, op: str, payload: Dict[str, Any], label: str) -> Dict[str, Any]:
+    def _call(
+        self, op: str, payload: Union[Dict[str, Any], str], label: str
+    ) -> Dict[str, Any]:
         started = time.perf_counter()
         with self._lock:
             self.stats.calls += 1
@@ -440,7 +470,7 @@ class RemoteTextTransport:
                 self.stats.wall_seconds += time.perf_counter() - started
 
     def _call_with_retry(
-        self, op: str, payload: Dict[str, Any], label: str
+        self, op: str, payload: Union[Dict[str, Any], str], label: str
     ) -> Dict[str, Any]:
         policy = self.retry
         attempts = 0

@@ -285,6 +285,10 @@ class QueryService:
                 self.metrics.on_completed(time.monotonic() - ticket.submitted_at)
             finally:
                 self._queue.done(tenant, time.monotonic() - started)
+                if self.sharing is not None:
+                    # One fewer query executing: a window may now cover
+                    # all that are left.
+                    self.sharing.wake()
 
     def _execute(self, state: TenantState, ticket: QueryTicket) -> Any:
         if isinstance(ticket.query, VectorQuery):

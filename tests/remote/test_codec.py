@@ -1,5 +1,7 @@
 """Wire-codec round trips: every node type, documents, results, frames."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from repro.remote.codec import (
     encode_response,
     node_from_wire,
     node_to_wire,
+    render_payload,
     result_from_wire,
     result_to_wire,
 )
@@ -28,6 +31,7 @@ from repro.textsys.query import (
     TruncatedQuery,
 )
 from repro.textsys.result import ResultSet
+from repro.textsys.vector import VectorQuery
 
 NODES = [
     TermQuery("title", "belief"),
@@ -102,6 +106,29 @@ def test_arbitrary_trees_round_trip(node):
     assert back.to_expression() == node.to_expression()
 
 
+_vectors = st.builds(
+    VectorQuery,
+    _fields,
+    st.lists(_words, min_size=1, max_size=4).map(tuple),
+    top_k=st.one_of(st.none(), st.integers(min_value=1, max_value=50)),
+    threshold=st.floats(min_value=-1.0, max_value=1.0),
+)
+
+
+@given(st.one_of(_trees, _vectors), st.integers(min_value=0, max_value=2**62))
+def test_spliced_frames_are_byte_identical(node, frame_id):
+    """A spliced frame — around a pre-rendered payload or a dict — is
+    ``json.dumps`` of the whole frame, byte for byte, and decodes to the
+    node."""
+    payload = {"query": node_to_wire(node)}
+    whole = json.dumps({"id": frame_id, "op": "search", "payload": payload})
+    spliced = encode_request(frame_id, "search", render_payload(payload))
+    assert spliced == whole
+    assert encode_request(frame_id, "search", payload) == whole
+    assert decode_request(spliced) == (frame_id, "search", payload)
+    assert node_from_wire(decode_request(spliced)[2]["query"]) == node
+
+
 class TestDocumentAndResult:
     def test_document_round_trip(self):
         document = Document("d7", {"title": "belief update", "year": "may 1993"})
@@ -156,3 +183,12 @@ class TestFrames:
     def test_unencodable_payload_rejected(self):
         with pytest.raises(RemoteProtocolError):
             encode_request(1, "search", {"query": object()})
+        with pytest.raises(RemoteProtocolError):
+            render_payload({"query": object()})
+
+    def test_spliced_op_names_are_escaped_like_json(self):
+        payload = render_payload({"docid": "d\u00e9"})
+        for op in ("search", 'we"ird', "caf\u00e9"):
+            assert encode_request(3, op, payload) == json.dumps(
+                {"id": 3, "op": op, "payload": {"docid": "d\u00e9"}}
+            )

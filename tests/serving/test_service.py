@@ -118,6 +118,31 @@ def test_budget_aborts_inflight_query_and_blocks_later_ones(serving_scenario):
     assert state.failed == 1
 
 
+def test_budget_crossed_in_the_long_forms_charges_every_one_served(
+    serving_scenario,
+):
+    """Q1's long forms travel in one ``retrieve_many``.  A budget that
+    runs out at the first of them still charges every document the
+    server handed back before the query dies."""
+    with QueryService(serving_scenario, [TenantSpec("probe")], workers=1) as service:
+        service.submit("probe", "q1").result(timeout=60)
+    probe = service.tenant("probe").ledger
+    long_forms = probe.long_documents
+    assert long_forms >= 2
+    c_l = serving_scenario.constants.long_form
+    budget = probe.total - long_forms * c_l + c_l / 2
+    counters = serving_scenario.server.counters
+    before = counters.snapshot()
+    specs = [TenantSpec("tight", budget_seconds=budget)]
+    with QueryService(serving_scenario, specs, workers=1) as service:
+        with pytest.raises(BudgetExceededError):
+            service.submit("tight", "q1").result(timeout=60)
+    ledger = service.tenant("tight").ledger
+    assert (counters - before).long_documents == long_forms
+    assert ledger.long_documents == long_forms
+    assert ledger.report() == probe.report()
+
+
 def test_backpressure_rejects_with_retry_after(serving_scenario):
     """With workers busy and the queue full, submits bounce immediately."""
     specs = [TenantSpec("flood")]

@@ -16,6 +16,7 @@ Two layers under test:
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -310,11 +311,91 @@ class TestSharedSearchExecutor:
         assert server.searches == 1
         assert len({tuple(result.docids) for result in results}) == 1
 
+    def test_wake_closes_a_window_the_hint_now_covers(self, tiny_server):
+        """The hint drops from 2 to 1 while the leader's window is open:
+        one ``wake`` closes the window at once, not at its deadline."""
+        hint = [2]
+        table = InflightSearchTable(
+            window_seconds=0.5, inflight_hint=lambda: hint[0]
+        )
+        client = TextClient(tiny_server, inflight=table)
+        returned = []
+
+        def lead():
+            client.search("TI='belief'")
+            returned.append(time.monotonic())
+
+        leader = threading.Thread(target=lead)
+        leader.start()
+        time.sleep(0.05)
+        hint[0] = 1
+        woken = time.monotonic()
+        table.wake()
+        leader.join(5)
+        assert returned and returned[0] - woken < 0.25
+
     def test_rejects_bad_configuration(self):
         with pytest.raises(GatewayError):
             InflightSearchTable(window_seconds=-0.1)
         with pytest.raises(GatewayError):
             InflightSearchTable(max_batch=0)
+
+
+class _SearchOnce:
+    """A join method that sets ``searching`` and sends one search, once
+    ``after`` is set."""
+
+    def __init__(self, after, searching):
+        self.after = after
+        self.searching = searching
+        self.returned = None
+
+    def execute(self, query, context):
+        self.after.wait(5)
+        self.searching.set()
+        result = context.client.search("TI='belief'")
+        self.returned = time.monotonic()
+        return result
+
+
+class _NeverSearch:
+    """A join method that sets ``running`` and finishes without
+    searching, shortly after ``after`` is set."""
+
+    def __init__(self, running, after):
+        self.running = running
+        self.after = after
+        self.finished = None
+
+    def execute(self, query, context):
+        self.running.set()
+        self.after.wait(5)
+        time.sleep(0.05)  # the other query's window is open by now
+        self.finished = time.monotonic()
+
+
+def test_a_query_finishing_without_searching_closes_the_window(sharing_scenario):
+    """One tenant leads a window while the other's query, also in
+    flight, finishes without searching: the admission hint drops to
+    what the window already covers, and the service wakes the window
+    instead of letting it run out its deadline."""
+    service = QueryService(
+        sharing_scenario,
+        [TenantSpec("alice"), TenantSpec("bob")],
+        workers=2,
+        share_window=0.5,
+    )
+    running, searching = threading.Event(), threading.Event()
+    leader = _SearchOnce(after=running, searching=searching)
+    idle = _NeverSearch(running=running, after=searching)
+    tickets = [
+        service.submit("alice", "q1", method=leader),
+        service.submit("bob", "q1", method=idle),
+    ]
+    with service:
+        for ticket in tickets:
+            ticket.result(timeout=30)
+    assert leader.returned - idle.finished < 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -141,3 +141,24 @@ def test_core_never_reaches_past_the_client():
             if isinstance(node, ast.Attribute) and node.attr == "server":
                 offenders.append(f"{path.relative_to(REPO_ROOT)}:{node.lineno}")
     assert offenders == [], "core reaches past the client:\n" + "\n".join(offenders)
+
+
+def test_router_never_calls_the_codec():
+    """Every codec call is made from ``remote/transport.py`` or
+    ``remote/endpoint.py``, where the benchmark's tracer times the
+    codec functions those modules import by name; a codec function
+    imported into the router would run untimed, so it imports none."""
+    path = REPO_ROOT / "src" / "repro" / "remote" / "router.py"
+    offenders = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        if any(module.startswith("repro.remote.codec") for module in modules):
+            offenders.append(f"router.py:{node.lineno}")
+    assert offenders == [], "the router imports the codec:\n" + "\n".join(offenders)
