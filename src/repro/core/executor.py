@@ -189,12 +189,7 @@ class _PlanRunner:
     # ------------------------------------------------------------------
     def _run_scan(self, plan: ScanNode) -> MaterializedInput:
         table = self.context.catalog.table(plan.relation)
-        rows = [
-            row
-            for row in table.scan()
-            if plan.predicate is None or plan.predicate.evaluate(row) is True
-        ]
-        return MaterializedInput(table.schema, rows)
+        return MaterializedInput(table.schema, list(table.scan(plan.predicate)))
 
     def _needs_long_form(self, fields: Sequence[str]) -> bool:
         return any(name not in self.short_fields for name in fields)

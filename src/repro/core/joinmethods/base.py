@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.query import (
@@ -37,6 +38,7 @@ from repro.errors import JoinMethodError, OptimizationError, ReproError
 from repro.gateway.client import TextClient
 from repro.gateway.costs import CostLedger
 from repro.relational.catalog import Catalog
+from repro.relational.expressions import satisfying
 from repro.relational.row import Row
 from repro.textsys.analysis import tokenize
 from repro.textsys.documents import Document
@@ -226,16 +228,11 @@ def effective_term_limit(context: JoinContext) -> int:
 def joining_rows(context: JoinContext, query: TextJoinQuery) -> List[Row]:
     """The joining relation: base table or materialized intermediate,
     after the query's local selection."""
-    if query.relation in context.materialized:
-        source = context.materialized[query.relation]
-    else:
-        source = context.catalog.table(query.relation).scan()
     predicate = query.relation_predicate
-    rows = []
-    for row in source:
-        if predicate is None or predicate.evaluate(row) is True:
-            rows.append(row)
-    return rows
+    if query.relation not in context.materialized:
+        return list(context.catalog.table(query.relation).scan(predicate))
+    rows = context.materialized[query.relation]
+    return list(rows if predicate is None else satisfying(predicate, rows))
 
 
 def selection_node(selection: TextSelection) -> SearchNode:
@@ -275,17 +272,17 @@ def group_by_columns(
     """Group tuples by their projection on ``columns`` (insertion order).
 
     Column positions are resolved once per run of rows sharing a schema
-    object (once per call for one relation's rows), not per row.
+    object (once per call for one relation's rows) into one tuple picker.
     """
     groups: Dict[Tuple[object, ...], List[Row]] = {}
-    schema = None
-    positions: List[int] = []
+    schema = pick = None
     for row in rows:
         if row.schema is not schema:
             schema = row.schema
-            positions = [schema.index_of(column) for column in columns]
-        key = tuple(row.values[position] for position in positions)
-        groups.setdefault(key, []).append(row)
+            at = [schema.index_of(column) for column in columns]
+            one = slice(at[0], at[0] + 1) if at else slice(0)
+            pick = itemgetter(*at) if len(at) > 1 else itemgetter(one)
+        groups.setdefault(pick(row.values), []).append(row)
     return groups
 
 

@@ -104,21 +104,15 @@ class PlanEstimator:
         if relation not in self._scan_rows:
             table = self.context.catalog.table(relation)
             predicate = self.query.local_predicate(relation)
-            rows = [
-                row
-                for row in table.scan()
-                if predicate is None or predicate.evaluate(row) is True
-            ]
-            self._scan_rows[relation] = rows
+            self._scan_rows[relation] = list(table.scan(predicate))
         return self._scan_rows[relation]
 
     def _prepare_relational_statistics(self) -> None:
         for relation in self.query.relations:
-            rows = self._filtered_rows(relation)
-            table = self.context.catalog.table(relation)
-            for column in table.schema.names():
-                seen = {row[column] for row in rows if row[column] is not None}
-                self._column_distinct[column] = len(seen)
+            names = self.context.catalog.table(relation).schema.names()
+            cells = list(zip(*(row.values for row in self._filtered_rows(relation))))
+            for column, column_cells in zip(names, cells or [()] * len(names)):
+                self._column_distinct[column] = len(set(column_cells) - {None})
 
     # ------------------------------------------------------------------
     # statistics access

@@ -11,11 +11,11 @@ locally-evaluated predicates agree with server-evaluated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import TypeMismatchError
-from repro.relational.expressions import Expression
-from repro.relational.row import Row
+from repro.relational.expressions import Bound, Expression
+from repro.relational.schema import Schema
 from repro.textsys.analysis import tokenize
 
 __all__ = ["TextMatch", "tokens_match", "value_matches_field"]
@@ -63,19 +63,18 @@ class TextMatch(Expression):
     value: Expression
     field_text: Expression
 
-    def evaluate(self, row: Row) -> Optional[bool]:
-        value = self.value.evaluate(row)
-        field_text = self.field_text.evaluate(row)
-        if value is None or field_text is None:
-            return None
-        if not isinstance(field_text, str):
-            raise TypeMismatchError(
-                f"TextMatch needs a text field, got {field_text!r}"
-            )
-        return value_matches_field(str(value), field_text)
+    def bind(self, schema: Schema) -> Bound:
+        value_of, field_of = self.value.bind(schema), self.field_text.bind(schema)
 
-    def referenced_columns(self) -> FrozenSet[str]:
-        return self.value.referenced_columns() | self.field_text.referenced_columns()
+        def test(values: Tuple[Any, ...]) -> Optional[bool]:
+            value, field_text = value_of(values), field_of(values)
+            if value is None or field_text is None:
+                return None
+            if not isinstance(field_text, str):
+                raise TypeMismatchError(f"TextMatch needs a text field, got {field_text!r}")
+            return value_matches_field(str(value), field_text)
+
+        return test
 
     def __repr__(self) -> str:
         return f"textmatch({self.value!r} in {self.field_text!r})"

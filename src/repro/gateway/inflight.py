@@ -67,12 +67,18 @@ class SharingStats:
         self.flights = 0
         self.shared_searches = 0
         self.seconds_shared = 0.0
+        self.failed_dispatches = 0
 
     def on_window(self, flight_count: int) -> None:
         """One backend dispatch carrying ``flight_count`` distinct searches."""
         with self._lock:
             self.windows += 1
             self.flights += flight_count
+
+    def on_failure(self) -> None:
+        """One backend dispatch raised (its flights were stranded)."""
+        with self._lock:
+            self.failed_dispatches += 1
 
     def on_join(self, seconds: float) -> None:
         """A cache-less caller settled a joined search worth ``seconds``."""
@@ -87,6 +93,7 @@ class SharingStats:
                 "flights": self.flights,
                 "shared_searches": self.shared_searches,
                 "seconds_shared": self.seconds_shared,
+                "failed_dispatches": self.failed_dispatches,
             }
 
     def __repr__(self) -> str:
@@ -273,6 +280,7 @@ class InflightSearchTable:
         try:
             results = _dispatch(server, [flight.query for flight in flights])
         except Exception:
+            self.stats.on_failure()
             if own == len(flights):
                 raise
         finally:

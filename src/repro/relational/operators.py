@@ -15,7 +15,7 @@ import itertools
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError
-from repro.relational.expressions import Expression
+from repro.relational.expressions import Expression, satisfying
 from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.relational.table import Table
@@ -83,9 +83,7 @@ class Filter(Operator):
         self.output_schema = child.output_schema
 
     def __iter__(self) -> Iterator[Row]:
-        for row in self.child:
-            if self.predicate.evaluate(row) is True:
-                yield row
+        return satisfying(self.predicate, self.child)
 
 
 class Project(Operator):
@@ -159,7 +157,8 @@ class Limit(Operator):
 class NestedLoopJoin(Operator):
     """Nested loop join with an arbitrary join predicate.
 
-    The right input is materialized once.  ``comparisons`` counts the
+    The right input is materialized once, the predicate bound once; a
+    pair becomes a ``Row`` only if it survives.  ``comparisons`` counts the
     predicate evaluations performed — the measure of relational work used
     by the benchmark harness.
     """
@@ -178,16 +177,17 @@ class NestedLoopJoin(Operator):
 
     def __iter__(self) -> Iterator[Row]:
         schema = self.output_schema
-        right_rows = list(self.right)
+        right_values = [row.values for row in self.right]
+        test = None if self.predicate is None else self.predicate.bind(schema)
         for left_row in self.left:
-            for right_row in right_rows:
-                joined = Row(schema, left_row.values + right_row.values)
-                if self.predicate is None:
-                    yield joined
-                    continue
-                self.comparisons += 1
-                if self.predicate.evaluate(joined) is True:
-                    yield joined
+            left_values = left_row.values
+            for values in right_values:
+                values = left_values + values
+                if test is not None:
+                    self.comparisons += 1
+                    if test(values) is not True:
+                        continue
+                yield Row(schema, values)
 
 
 class HashJoin(Operator):
@@ -221,6 +221,7 @@ class HashJoin(Operator):
 
     def __iter__(self) -> Iterator[Row]:
         schema = self.output_schema
+        test = None if self.residual is None else self.residual.bind(schema)
         build: Dict[Tuple[Any, ...], List[Row]] = {}
         for row in self.right:
             key = tuple(row.values[i] for i in self._right_indexes)
@@ -232,12 +233,12 @@ class HashJoin(Operator):
             if any(part is None for part in key):
                 continue
             for right_row in build.get(key, ()):
-                joined = Row(schema, left_row.values + right_row.values)
-                if self.residual is not None:
+                values = left_row.values + right_row.values
+                if test is not None:
                     self.comparisons += 1
-                    if self.residual.evaluate(joined) is not True:
+                    if test(values) is not True:
                         continue
-                yield joined
+                yield Row(schema, values)
 
 
 class CrossProduct(Operator):

@@ -4,6 +4,8 @@ A :class:`Row` pairs a value tuple with the :class:`~repro.relational.schema.Sch
 that names its positions.  ``Row(schema, values)`` is cheap (``__slots__``,
 the schema shared by reference) because join operators materialize large
 numbers of them, each against the operator's one ``output_schema``.
+Predicates never need one: bind once per operator (``Expression.bind``),
+test value tuples, build a ``Row`` only for survivors.
 :meth:`Row.concat` and :meth:`Row.project` are not: each call builds and
 validates a fresh ``Schema`` — conveniences for one-off rows, not loops.
 """

@@ -7,9 +7,10 @@ on insert, so every downstream operator can trust the data.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
+from repro.relational.expressions import Expression
 from repro.relational.row import Row
 from repro.relational.schema import Column, Schema
 from repro.relational.types import coerce_value
@@ -98,11 +99,14 @@ class Table:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def scan(self) -> Iterator[Row]:
-        """Yield every row under the qualified schema."""
+    def scan(self, predicate: Optional[Expression] = None) -> Iterator[Row]:
+        """Yield every row under the qualified schema on which ``predicate``
+        (bound once; default none) is strictly ``True``."""
         schema = self._qualified_schema
+        test = None if predicate is None else predicate.bind(schema)
         for values in self._rows:
-            yield Row(schema, values)
+            if test is None or test(values) is True:
+                yield Row(schema, values)
 
     def rows(self) -> List[Row]:
         """Materialize the full scan as a list."""

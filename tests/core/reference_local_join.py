@@ -2,22 +2,26 @@
 
 These are the bodies of ``repro.core.joinmethods.base.rtp_match_pairs``
 (with the ``rtp_match`` and ``value_matches_field`` it called),
-``group_by_columns`` and the three join operators' ``__iter__`` as they
-stood before the per-pair invariants were hoisted, moved here verbatim:
-every candidate pair re-reads the row by column name, re-tokenizes the
-join value and the document field, and builds its joined row with
-``left_row.concat(right_row)`` — one fresh ``Schema`` per pair.  The
-differential tests in ``test_local_join_equivalence.py`` require the
-production loops to agree with them on every input: same pairs or rows
-in the same order, same charge, same ``comparisons``, same errors.
+``group_by_columns``, ``Filter`` and the three join operators'
+``__iter__`` as they stood before the per-pair invariants were hoisted,
+moved here verbatim: every candidate pair re-reads the row by column
+name, re-tokenizes the join value and the document field, and builds its
+joined row with ``left_row.concat(right_row)`` — one fresh ``Schema`` per
+pair.  The one edit: predicates are evaluated by the by-name oracle,
+``reference_evaluate(predicate, row)``, not ``predicate.evaluate(row)``
+(which now binds).  The differential tests in
+``test_local_join_equivalence.py`` and ``test_expressions.py`` require
+the production loops to agree with them on every input: same pairs or
+rows in the same order, same charge, same ``comparisons``, same errors.
 """
 
 from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.query import JoinedPair
-from repro.relational.operators import CrossProduct, HashJoin, NestedLoopJoin
+from repro.relational.operators import CrossProduct, Filter, HashJoin, NestedLoopJoin
 from repro.relational.row import Row
 from repro.textsys.analysis import tokenize
+from tests.relational.reference_expressions import reference_evaluate
 
 
 def reference_value_matches_field(value: str, field_text: str) -> bool:
@@ -76,7 +80,7 @@ class ReferenceNestedLoopJoin(NestedLoopJoin):
                     yield joined
                     continue
                 self.comparisons += 1
-                if self.predicate.evaluate(joined) is True:
+                if reference_evaluate(self.predicate, joined) is True:
                     yield joined
 
 
@@ -96,9 +100,16 @@ class ReferenceHashJoin(HashJoin):
                 joined = left_row.concat(right_row)
                 if self.residual is not None:
                     self.comparisons += 1
-                    if self.residual.evaluate(joined) is not True:
+                    if reference_evaluate(self.residual, joined) is not True:
                         continue
                 yield joined
+
+
+class ReferenceFilter(Filter):
+    def __iter__(self) -> Iterator[Row]:
+        for row in self.child:
+            if reference_evaluate(self.predicate, row) is True:
+                yield row
 
 
 class ReferenceCrossProduct(CrossProduct):

@@ -1,9 +1,13 @@
-"""Unit + property tests for the expression language (3-valued logic)."""
+"""Unit + property tests for the expression language (3-valued logic),
+and differential tests of the bound path against the by-name evaluator
+it replaced (``reference_expressions.py``)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import ExpressionError, TypeMismatchError
+from repro.core.textmatch import TextMatch
+from repro.errors import ExpressionError, SchemaError, TypeMismatchError
+from repro.relational import expressions as expressions_module
 from repro.relational.expressions import (
     And,
     ColumnRef,
@@ -17,9 +21,25 @@ from repro.relational.expressions import (
     conjoin,
     conjuncts,
 )
+from repro.relational.operators import (
+    CrossProduct,
+    Filter,
+    HashJoin,
+    MaterializedInput,
+    NestedLoopJoin,
+)
 from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
+from tests.core.reference_local_join import (
+    ReferenceFilter,
+    ReferenceHashJoin,
+    ReferenceNestedLoopJoin,
+)
+from tests.relational.reference_expressions import (
+    reference_evaluate,
+    reference_referenced_columns,
+)
 
 SCHEMA = Schema.of(
     ("s.name", DataType.VARCHAR),
@@ -184,3 +204,169 @@ def test_and_or_match_python_semantics_on_booleans(values):
     r = row()
     assert And(operands).evaluate(r) == all(values)
     assert Or(operands).evaluate(r) == any(values)
+
+
+class TestBindOnce:
+    def test_bound_like_translates_its_pattern_once(self, monkeypatch):
+        calls = []
+        translate = expressions_module._like_to_regex
+
+        def counting(pattern):
+            calls.append(pattern)
+            return translate(pattern)
+
+        monkeypatch.setattr(expressions_module, "_like_to_regex", counting)
+        test = Like(ColumnRef("s.note"), "%update%").bind(SCHEMA)
+        assert all(test(row(note=f"update {i}").values) for i in range(1000))
+        assert calls == ["%update%"]
+
+    def test_bound_contains_compiles_a_literal_needle_once(self, monkeypatch):
+        calls = []
+        compile_search = expressions_module._word_search
+
+        def counting(needle):
+            calls.append(needle)
+            return compile_search(needle)
+
+        monkeypatch.setattr(expressions_module, "_word_search", counting)
+        literal = Contains(ColumnRef("s.note"), Literal("update")).bind(SCHEMA)
+        column = Contains(ColumnRef("s.note"), ColumnRef("s.name")).bind(SCHEMA)
+        for i in range(10):
+            assert literal(row(note=f"an update {i}").values) is True
+        assert calls == ["update"]
+        for i in range(10):
+            assert column(row(name=f"w{i}", note=f"w{i} x").values) is True
+        assert len(calls) == 11  # a column needle: one pattern per value
+
+    def test_unresolvable_column_raises_only_when_reached(self):
+        unknown = Comparison("=", ColumnRef("s.missing"), Literal(1))
+        guarded = And((Comparison("=", Literal(1), Literal(2)), unknown))
+        assert guarded.bind(SCHEMA)(row().values) is False
+        with pytest.raises(SchemaError):
+            unknown.bind(SCHEMA)(row().values)
+
+
+# ----------------------------------------------------------------------
+# differential: bound path vs the by-name evaluator
+# ----------------------------------------------------------------------
+DIFF_SCHEMA = Schema.of(
+    ("s.name", DataType.VARCHAR),
+    ("t.name", DataType.VARCHAR),
+    ("s.year", DataType.INTEGER),
+    ("s.note", DataType.VARCHAR),
+)
+# The same columns in another order: a second schema object.
+PERMUTED = Schema.of(
+    ("s.note", DataType.VARCHAR),
+    ("s.year", DataType.INTEGER),
+    ("t.name", DataType.VARCHAR),
+    ("s.name", DataType.VARCHAR),
+)
+# Qualified, unique bare ("year"), ambiguous bare ("name") and unknown.
+DIFF_NAMES = ["s.name", "t.name", "name", "year", "s.year", "s.note", "s.missing"]
+OPS = ["=", "!=", "<", "<=", ">", ">="]
+ints = st.one_of(st.none(), st.integers(-2, 3))
+strings = st.one_of(
+    st.none(),
+    st.sampled_from(["kao", "Kao", "belief update", "a.c", "1993", "", "x%"]),
+)
+scalars = st.one_of(ints, strings)
+
+
+def expression_trees(names):
+    leaves = st.one_of(
+        st.builds(ColumnRef, st.sampled_from(names)), st.builds(Literal, scalars)
+    )
+
+    def extend(children):
+        operands = st.lists(children, min_size=1, max_size=3).map(tuple)
+        return st.one_of(
+            st.builds(Comparison, st.sampled_from(OPS), children, children),
+            st.builds(And, operands),
+            st.builds(Or, operands),
+            st.builds(Not, children),
+            st.builds(Like, children, st.sampled_from(["k_o", "%a%", "a.c", "%"])),
+            st.builds(Contains, children, children, st.booleans()),
+            st.builds(InList, children, st.lists(scalars, max_size=3).map(tuple)),
+            st.builds(TextMatch, children, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def diff_rows(schema):
+    cell = {DataType.VARCHAR: strings, DataType.INTEGER: ints}
+    return st.tuples(*(cell[column.data_type] for column in schema)).map(
+        lambda values: Row(schema, values)
+    )
+
+
+def outcome(function, *args):
+    """(type, value) of the result, or the exception class raised."""
+    try:
+        value = function(*args)
+    except Exception as error:  # noqa: BLE001 - compared by class
+        return type(error)
+    return type(value), value
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    expression=expression_trees(DIFF_NAMES),
+    diff_row=st.one_of(diff_rows(DIFF_SCHEMA), diff_rows(PERMUTED)),
+)
+def test_bound_expression_equals_by_name_evaluate(expression, diff_row):
+    expected = outcome(reference_evaluate, expression, diff_row)
+    bound = expression.bind(diff_row.schema)  # binding itself never raises
+    assert outcome(bound, diff_row.values) == expected
+    assert outcome(expression.evaluate, diff_row) == expected
+    assert expression.referenced_columns() == reference_referenced_columns(expression)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    predicate=expression_trees(DIFF_NAMES),
+    rows=st.lists(st.one_of(diff_rows(DIFF_SCHEMA), diff_rows(PERMUTED)), max_size=6),
+)
+def test_filter_equals_by_name_filter(predicate, rows):
+    """Rows of two schema objects in one input: rebound per schema run."""
+    child = MaterializedInput(DIFF_SCHEMA, rows)
+    assert_same_rows(Filter(child, predicate), ReferenceFilter(child, predicate))
+
+
+LEFT = Schema.of(("l.k", DataType.INTEGER), ("l.s", DataType.VARCHAR))
+RIGHT = Schema.of(("r.k", DataType.INTEGER), ("r.s", DataType.VARCHAR))
+JOIN_NAMES = ["l.k", "r.k", "k", "l.s", "r.s", "s", "r.missing"]
+
+
+def side(schema):
+    return st.lists(diff_rows(schema), max_size=5).map(
+        lambda rows: MaterializedInput(schema, rows)
+    )
+
+
+def assert_same_rows(operator, reference):
+    """Same rows in the same order (or the same error), same comparisons."""
+    assert outcome(list, operator) == outcome(list, reference)
+    assert getattr(operator, "comparisons", 0) == getattr(reference, "comparisons", 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    left=side(LEFT),
+    right=side(RIGHT),
+    predicate=st.one_of(st.none(), expression_trees(JOIN_NAMES)),
+)
+def test_join_operators_equal_by_name_joins(left, right, predicate):
+    assert_same_rows(
+        NestedLoopJoin(left, right, predicate),
+        ReferenceNestedLoopJoin(left, right, predicate),
+    )
+    keys = [("l.k", "r.k")]
+    assert_same_rows(
+        HashJoin(left, right, keys, predicate),
+        ReferenceHashJoin(left, right, keys, predicate),
+    )
+    if predicate is not None:
+        product = CrossProduct(left, right)
+        assert_same_rows(Filter(product, predicate), ReferenceFilter(product, predicate))

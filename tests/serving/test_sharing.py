@@ -259,6 +259,7 @@ class TestSharedSearchExecutor:
         assert results == [None, None, None]
         assert all(isinstance(error, GatewayError) for error in errors)
         assert server.searches == 3  # one shared attempt + two fallbacks
+        assert table.stats.snapshot()["failed_dispatches"] == 1
         assert all(client.ledger.total == 0.0 for client in clients)
         # The failed flight was removed: a retry dispatches afresh.
         server.fail = False
@@ -294,6 +295,34 @@ class TestSharedSearchExecutor:
         assert clients[0].ledger.report() == alone.ledger.report()
         assert clients[1].ledger.report() == CostLedger().report()
         assert table.stats.snapshot()["shared_searches"] == 0
+        assert table.stats.snapshot()["failed_dispatches"] == 1
+
+    def test_failed_shared_dispatch_is_counted_and_redispatched(self, tiny_server):
+        """The backend raises once, on the window holding both callers'
+        flights: both re-dispatch alone, the failure is counted once, and
+        each ledger is exactly its alone price."""
+
+        class FailFirstBatch(CountingServer):
+            def search_batch(self, queries):
+                if self.batches == 0:
+                    self.batches += 1
+                    raise GatewayError("injected backend failure")
+                return super().search_batch(queries)
+
+        server = FailFirstBatch(BooleanTextServer(tiny_server.store, batch_limit=50))
+        table = InflightSearchTable(window_seconds=0.5, inflight_hint=lambda: 2)
+        queries = ["TI='belief'", "AB='retrieval'"]
+        clients, results, errors = _search_concurrently(server, table, queries)
+        assert errors == [None, None]
+        assert server.batches == 1  # the failed window; re-dispatches go alone
+        assert server.searches == 2
+        for client, query, result in zip(clients, queries, results):
+            alone = TextClient(tiny_server)
+            assert tuple(result.docids) == tuple(alone.search(query).docids)
+            assert client.ledger.report() == alone.ledger.report()
+        snapshot = table.stats.snapshot()
+        assert snapshot["failed_dispatches"] == 1
+        assert snapshot["windows"] == 0 and snapshot["shared_searches"] == 0
 
     def test_zero_window_still_single_flights(self, tiny_server):
         class SlowServer(CountingServer):

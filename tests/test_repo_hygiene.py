@@ -162,3 +162,36 @@ def test_router_never_calls_the_codec():
         if any(module.startswith("repro.remote.codec") for module in modules):
             offenders.append(f"router.py:{node.lineno}")
     assert offenders == [], "the router imports the codec:\n" + "\n".join(offenders)
+
+
+#: Files whose loops run a predicate per tuple: they bind it once
+#: (``Expression.bind``) and call the bound function instead.
+PER_TUPLE_FILES = (
+    "relational/operators.py",
+    "relational/table.py",
+    "core/executor.py",
+    "core/joinmethods/base.py",
+    "core/optimizer/estimator.py",
+)
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def test_no_per_row_evaluate():
+    """``expression.evaluate(row)`` re-binds (resolves every column name)
+    per call; inside a loop over tuples it is the per-row cost that
+    binding once per operator removed."""
+    offenders = []
+    for name in PER_TUPLE_FILES:
+        path = REPO_ROOT / "src" / "repro" / name
+        for loop in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(loop, LOOPS):
+                continue
+            for node in ast.walk(loop):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "evaluate"
+                ):
+                    offenders.append(f"{name}:{node.lineno}")
+    assert offenders == [], "per-row evaluate:\n" + "\n".join(sorted(set(offenders)))
