@@ -32,7 +32,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import FeedbackError
 from repro.gateway.sampling import observed_predicate_statistics

@@ -24,7 +24,6 @@ from repro.core.joinmethods.base import (
     group_by_columns,
     instantiate_predicates,
     joining_rows,
-    rtp_match,
     selection_node,
     selection_nodes,
 )
@@ -78,5 +77,4 @@ __all__ = [
     "selection_nodes",
     "instantiate_predicates",
     "group_by_columns",
-    "rtp_match",
 ]

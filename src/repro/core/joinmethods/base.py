@@ -12,9 +12,9 @@ they return identical results:
 - tuples whose join columns contain NULL never join (SQL semantics);
 - an instantiated join predicate turns the column value into the text
   system's basic term for that value (word or phrase, via ``make_term``);
-- relational text processing (:func:`rtp_match`) checks a join value
-  against a fetched document using the *same* word-level semantics as
-  the text system, implemented with SQL-style string matching on the
+- relational text processing (:func:`rtp_match_pairs`) checks join
+  values against fetched documents using the *same* word-level semantics
+  as the text system, implemented with SQL-style string matching on the
   relational side (:func:`~repro.core.textmatch.tokens_match`) — the
   text system's own evaluators are never called from here.
 """
@@ -58,7 +58,6 @@ __all__ = [
     "instantiate_predicates",
     "group_by_columns",
     "rtp_fields_available",
-    "rtp_match",
     "rtp_match_pairs",
     "finalize_execution",
 ]
@@ -303,26 +302,6 @@ def rtp_fields_available(source: Any, predicates: Sequence[Any]) -> bool:
     )
 
 
-def rtp_match(
-    row: Row, document: Document, predicates: Sequence[TextJoinPredicate]
-) -> bool:
-    """Relational text processing: check join predicates with SQL strings.
-
-    The check reproduces the text system's word-level match (a value
-    matches when its word sequence appears in the document field), which
-    is the situation in which the paper considers RTP applicable — the
-    SQL string processing and the text-system predicate agree.  NULL
-    values and values with no indexable word never match.
-    """
-    return all(
-        tokens_match(
-            _join_value_tokens(row, predicate.column),
-            tokenize(document.field(predicate.field)),
-        )
-        for predicate in predicates
-    )
-
-
 def _join_value_tokens(row: Row, column: str) -> List[str]:
     """One join value as match tokens; ``[]`` (never matches) for NULL."""
     value = row[column]
@@ -341,10 +320,12 @@ def rtp_match_pairs(
     matches each pair against ``predicates``, returning the joined pairs
     in document-major order (the order all RTP-family methods produce).
 
-    A pair joins exactly when :func:`rtp_match` says so, but each join
-    value and each document field is read and tokenized once per call —
-    the first time a pair reaches its predicate, so columns are looked
-    up exactly when the per-pair form would — not once per pair.
+    A pair joins when, for every predicate, the join value's word
+    sequence appears in the document field (NULL values and values with
+    no indexable word never match).  Each join value and each document
+    field is read and tokenized once per call, not once per pair: the
+    first time a pair reaches its predicate, so a column is looked up
+    exactly when a per-pair check would look it up.
     """
     context.client.charge_rtp(len(documents) * len(rows))
     # needles[k][r]: row r's tokens for predicate k; None = not read yet.

@@ -28,7 +28,6 @@ from repro.gateway.sampling import (
     sample_predicate_statistics,
 )
 from repro.gateway.statistics import (
-    CorrelationModel,
     PredicateStatistics,
     TextStatisticsRegistry,
     joint_fanout,
@@ -54,7 +53,6 @@ __all__ = [
     "CallTracer",
     "format_trace",
     "PredicateStatistics",
-    "CorrelationModel",
     "TextStatisticsRegistry",
     "joint_selectivity",
     "joint_fanout",

@@ -28,7 +28,6 @@ from repro.errors import StatisticsError
 
 __all__ = [
     "PredicateStatistics",
-    "CorrelationModel",
     "TextStatisticsRegistry",
     "joint_selectivity",
     "joint_fanout",
@@ -126,40 +125,6 @@ def blend_statistics(
         fanout=max(0.0, fanout),
         sample_size=prior.sample_size + observed.sample_size,
     )
-
-
-@dataclass(frozen=True)
-class CorrelationModel:
-    """A *g*-correlated joint-statistics model over ``D`` documents."""
-
-    g: int
-    document_count: int
-
-    def __post_init__(self) -> None:
-        if self.g < 1:
-            raise StatisticsError("g must be at least 1")
-        if self.document_count < 1:
-            raise StatisticsError("document count must be positive")
-
-    @classmethod
-    def fully_correlated(cls, document_count: int) -> "CorrelationModel":
-        """The 1-correlated model: joint statistic = minimum."""
-        return cls(g=1, document_count=document_count)
-
-    @classmethod
-    def independent(cls, document_count: int, k: int) -> "CorrelationModel":
-        """The k-correlated model: joint statistic = full product."""
-        return cls(g=max(k, 1), document_count=document_count)
-
-    def selectivity(self, predicates: Sequence[PredicateStatistics]) -> float:
-        """Joint selectivity ``S_{g,K}`` of a predicate set."""
-        return joint_selectivity([p.selectivity for p in predicates], self.g)
-
-    def fanout(self, predicates: Sequence[PredicateStatistics]) -> float:
-        """Joint fanout ``F_{g,K}`` of a predicate set."""
-        return joint_fanout(
-            [p.fanout for p in predicates], self.g, self.document_count
-        )
 
 
 class TextStatisticsRegistry:

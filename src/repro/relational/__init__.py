@@ -1,61 +1,30 @@
 """In-memory relational engine substrate.
 
 This subpackage implements the database-system side of the paper's loose
-integration: typed tables, an expression language with SQL string
-matching (needed by Relational Text Processing), iterator-style physical
-operators, secondary indexes, statistics, and CSV I/O.
+integration, as far as a plan executes it: typed tables in a catalog, a
+predicate language with SQL three-valued logic, and the two operators the
+executor runs (materialized inputs and the nested-loop join; a join with
+no predicate is the cross product).  Matching join values against fetched
+documents lives in :mod:`repro.core.textmatch`.
 """
 
-from repro.relational.aggregates import (
-    AggregateSpec,
-    GroupBy,
-    avg_of,
-    count,
-    count_rows,
-    max_of,
-    min_of,
-    sum_of,
-)
 from repro.relational.catalog import Catalog
-from repro.relational.csv_io import load_table_csv, save_table_csv
 from repro.relational.expressions import (
     And,
     ColumnRef,
     Comparison,
-    Contains,
     Expression,
-    InList,
-    Like,
     Literal,
     Not,
     Or,
     conjoin,
     conjuncts,
 )
-from repro.relational.indexes import HashIndex, SortedIndex
-from repro.relational.operators import (
-    CrossProduct,
-    Distinct,
-    Filter,
-    HashJoin,
-    Limit,
-    MaterializedInput,
-    NestedLoopJoin,
-    Operator,
-    Project,
-    Sort,
-    TableScan,
-    materialize,
-)
+from repro.relational.operators import MaterializedInput, NestedLoopJoin, Operator
 from repro.relational.row import Row
 from repro.relational.schema import Column, Schema
-from repro.relational.statistics import (
-    ColumnStatistics,
-    TableStatistics,
-    collect_table_statistics,
-)
 from repro.relational.table import Table
-from repro.relational.types import DataType, coerce_value, infer_type
+from repro.relational.types import DataType, coerce_value
 
 __all__ = [
     "Catalog",
@@ -65,7 +34,6 @@ __all__ = [
     "Table",
     "DataType",
     "coerce_value",
-    "infer_type",
     "Expression",
     "ColumnRef",
     "Literal",
@@ -73,36 +41,9 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "Like",
-    "Contains",
-    "InList",
     "conjoin",
     "conjuncts",
     "Operator",
-    "TableScan",
     "MaterializedInput",
-    "Filter",
-    "Project",
-    "Distinct",
-    "Sort",
-    "Limit",
     "NestedLoopJoin",
-    "HashJoin",
-    "CrossProduct",
-    "materialize",
-    "HashIndex",
-    "SortedIndex",
-    "ColumnStatistics",
-    "TableStatistics",
-    "collect_table_statistics",
-    "load_table_csv",
-    "save_table_csv",
-    "AggregateSpec",
-    "GroupBy",
-    "count_rows",
-    "count",
-    "sum_of",
-    "min_of",
-    "max_of",
-    "avg_of",
 ]

@@ -31,19 +31,6 @@ class Catalog:
         self._tables[name] = table
         return table
 
-    def register(self, table: Table) -> Table:
-        """Register an existing table under its own name."""
-        if table.name in self._tables:
-            raise CatalogError(f"table {table.name!r} already exists")
-        self._tables[table.name] = table
-        return table
-
-    def drop_table(self, name: str) -> None:
-        """Remove a table. Raises if it does not exist."""
-        if name not in self._tables:
-            raise CatalogError(f"table {name!r} does not exist")
-        del self._tables[name]
-
     def table(self, name: str) -> Table:
         """Look up a table by name. Raises :class:`CatalogError` if missing."""
         try:

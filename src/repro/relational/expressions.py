@@ -1,10 +1,11 @@
 """Scalar and boolean expression trees over value tuples.
 
 These expressions form the relational engine's predicate language: column
-references, literals, comparisons, boolean connectives, and the SQL string
-operations (``LIKE``, ``CONTAINS``) that the paper's *Relational Text
-Processing* method relies on ("SQL provides some, though limited, ability
-to do string processing").
+references, literals, comparisons and boolean connectives.  The string
+matching the paper's *Relational Text Processing* relies on ("SQL
+provides some, though limited, ability to do string processing") is not
+here: RTP and the ``TextMatch`` predicate both match through
+:func:`repro.core.textmatch.tokens_match`.
 
 Comparisons use SQL three-valued logic: any comparison involving NULL
 evaluates to ``None`` (unknown), and filters keep only rows where the
@@ -19,7 +20,6 @@ when a tuple reaches it, exactly where a by-name lookup would.
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from typing import (
@@ -38,9 +38,6 @@ __all__ = [
     "And",
     "Or",
     "Not",
-    "Like",
-    "Contains",
-    "InList",
     "conjuncts",
     "conjoin",
     "satisfying",
@@ -242,106 +239,6 @@ class Not(Expression):
 
     def __repr__(self) -> str:
         return f"(not {self.operand!r})"
-
-
-def _like_to_regex(pattern: str) -> "re.Pattern[str]":
-    """Translate a SQL LIKE pattern (``%``, ``_``) to an anchored regex."""
-    out = []
-    for char in pattern:
-        if char == "%":
-            out.append(".*")
-        elif char == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(char))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
-
-
-@dataclass(frozen=True)
-class Like(Expression):
-    """SQL ``LIKE``: string pattern matching with ``%`` and ``_``."""
-
-    operand: Expression
-    pattern: str
-
-    def bind(self, schema: Schema) -> Bound:
-        operand, match = self.operand.bind(schema), _like_to_regex(self.pattern).match
-
-        def test(values: Tuple[Any, ...]) -> Optional[bool]:
-            value = operand(values)
-            if value is None:
-                return None
-            if not isinstance(value, str):
-                raise TypeMismatchError(f"LIKE applied to non-string {value!r}")
-            return match(value) is not None
-
-        return test
-
-    def __repr__(self) -> str:
-        return f"({self.operand!r} like {self.pattern!r})"
-
-
-def _word_search(needle: str) -> Callable[[str], Any]:
-    """``search`` of a case-folded ``needle`` as a whole token."""
-    return re.compile(
-        r"(?<![0-9a-z])" + re.escape(needle.lower()) + r"(?![0-9a-z])"
-    ).search
-
-
-@dataclass(frozen=True)
-class Contains(Expression):
-    """Case-insensitive word/substring containment.
-
-    This models the SQL string processing the paper's RTP method uses to
-    check a join value against a fetched document field.  With
-    ``word_boundary=True`` (the default) the needle must appear as a whole
-    token, which matches the text system's word-level semantics (a literal
-    needle's pattern compiled once per bind, a column's per value).
-    """
-
-    haystack: Expression
-    needle: Expression
-    word_boundary: bool = True
-
-    def bind(self, schema: Schema) -> Bound:
-        haystack_of, needle_of = self.haystack.bind(schema), self.needle.bind(schema)
-        word_boundary = self.word_boundary
-        constant = self.needle.value if isinstance(self.needle, Literal) else None
-        search = _word_search(constant) if isinstance(constant, str) else None
-
-        def test(values: Tuple[Any, ...]) -> Optional[bool]:
-            haystack, needle = haystack_of(values), needle_of(values)
-            if haystack is None or needle is None:
-                return None
-            if not isinstance(haystack, str) or not isinstance(needle, str):
-                raise TypeMismatchError(
-                    f"CONTAINS applied to non-strings {haystack!r}, {needle!r}"
-                )
-            if not word_boundary:
-                return needle.lower() in haystack.lower()
-            return (search or _word_search(needle))(haystack.lower()) is not None
-
-        return test
-
-    def __repr__(self) -> str:
-        return f"contains({self.haystack!r}, {self.needle!r})"
-
-
-@dataclass(frozen=True)
-class InList(Expression):
-    """SQL ``IN (v1, v2, ...)`` over a literal value list."""
-
-    operand: Expression
-    values: Tuple[Any, ...]
-
-    def bind(self, schema: Schema) -> Bound:
-        operand, options = self.operand.bind(schema), self.values
-        return lambda values: (
-            None if (value := operand(values)) is None else value in options
-        )
-
-    def __repr__(self) -> str:
-        return f"({self.operand!r} in {list(self.values)!r})"
 
 
 def conjuncts(expression: Optional[Expression]) -> List[Expression]:

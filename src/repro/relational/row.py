@@ -6,13 +6,11 @@ the schema shared by reference) because join operators materialize large
 numbers of them, each against the operator's one ``output_schema``.
 Predicates never need one: bind once per operator (``Expression.bind``),
 test value tuples, build a ``Row`` only for survivors.
-:meth:`Row.concat` and :meth:`Row.project` are not: each call builds and
-validates a fresh ``Schema`` — conveniences for one-off rows, not loops.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Sequence, Tuple
+from typing import Any, Iterator, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.schema import Schema
@@ -37,13 +35,6 @@ class Row:
         """Value of the named column (qualified or unambiguous bare name)."""
         return self.values[self.schema.index_of(name)]
 
-    def get(self, name: str, default: Any = None) -> Any:
-        """Like ``__getitem__`` but returns ``default`` for unknown names."""
-        try:
-            return self[name]
-        except SchemaError:
-            return default
-
     def __iter__(self) -> Iterator[Any]:
         return iter(self.values)
 
@@ -64,27 +55,3 @@ class Row:
             for column, value in zip(self.schema.columns, self.values)
         )
         return f"Row({pairs})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A ``{column name: value}`` dict (qualified names preserved)."""
-        return {
-            column.name: value
-            for column, value in zip(self.schema.columns, self.values)
-        }
-
-    def project(self, names: Sequence[str]) -> "Row":
-        """A new row with only the named columns, in the given order.
-
-        Convenience, one schema per call; operators build rows against
-        their ``output_schema``.
-        """
-        schema = self.schema.project(names)
-        return Row(schema, tuple(self[name] for name in names))
-
-    def concat(self, other: "Row") -> "Row":
-        """Concatenate two rows (join output).
-
-        Convenience, one schema per call; operators build rows against
-        their ``output_schema``.
-        """
-        return Row(self.schema.concat(other.schema), self.values + other.values)

@@ -8,7 +8,7 @@ schema — the same rule SQL uses for unqualified column references.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.types import DataType
@@ -121,10 +121,6 @@ class Schema:
             raise SchemaError(f"ambiguous column {name!r}: matches {matches}")
         raise SchemaError(f"unknown column {name!r} in {self!r}")
 
-    def column(self, name: str) -> Column:
-        """Resolve ``name`` to its :class:`Column`."""
-        return self._columns[self.index_of(name)]
-
     def has_column(self, name: str) -> bool:
         """True if ``name`` resolves (exactly or as a unique bare name)."""
         try:
@@ -144,8 +140,3 @@ class Schema:
         call it in their constructor and build rows against the result.
         """
         return Schema(self._columns + other._columns)
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        """A schema containing only the named columns, in the given order
-        (one schema per call, like :meth:`concat`: once per operator)."""
-        return Schema(self.column(name) for name in names)

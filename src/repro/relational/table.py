@@ -7,7 +7,7 @@ on insert, so every downstream operator can trust the data.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.expressions import Expression
@@ -50,15 +50,6 @@ class Table:
         """The table's qualified schema (``table.column`` names)."""
         return self._qualified_schema
 
-    @property
-    def bare_schema(self) -> Schema:
-        """The table's schema with unqualified column names."""
-        return self._schema
-
-    def column_names(self) -> List[str]:
-        """Unqualified column names, in order."""
-        return self._schema.names()
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -74,24 +65,10 @@ class Table:
         )
         self._rows.append(coerced)
 
-    def insert_dict(self, record: Mapping[str, Any]) -> None:
-        """Insert one row from a ``{column: value}`` mapping.
-
-        Missing columns become NULL; unknown keys raise.
-        """
-        unknown = set(record) - set(self._schema.names())
-        if unknown:
-            raise SchemaError(f"{self.name}: unknown columns {sorted(unknown)}")
-        self.insert([record.get(name) for name in self._schema.names()])
-
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
         """Insert many positional rows."""
         for values in rows:
             self.insert(values)
-
-    def clear(self) -> None:
-        """Delete all rows."""
-        self._rows.clear()
 
     # ------------------------------------------------------------------
     # access
@@ -108,29 +85,10 @@ class Table:
             if test is None or test(values) is True:
                 yield Row(schema, values)
 
-    def rows(self) -> List[Row]:
-        """Materialize the full scan as a list."""
-        return list(self.scan())
-
     def column_values(self, name: str) -> List[Any]:
         """All values of one column, in row order (accepts bare names)."""
         index = self._schema.index_of(name.split(".", 1)[-1] if "." in name else name)
         return [values[index] for values in self._rows]
-
-    def distinct_values(self, name: str) -> List[Any]:
-        """Distinct non-NULL values of one column, in first-seen order."""
-        seen = set()
-        out: List[Any] = []
-        for value in self.column_values(name):
-            if value is None or value in seen:
-                continue
-            seen.add(value)
-            out.append(value)
-        return out
-
-    def distinct_count(self, name: str) -> int:
-        """Number of distinct non-NULL values of one column (``N_i``)."""
-        return len(self.distinct_values(name))
 
     def __repr__(self) -> str:
         return f"Table({self.name!r}, {len(self)} rows, {self._schema!r})"

@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 from repro.errors import TypeMismatchError
 
-__all__ = ["DataType", "coerce_value", "python_type_of", "infer_type"]
+__all__ = ["DataType", "coerce_value"]
 
 
 class DataType(enum.Enum):
@@ -28,36 +28,6 @@ class DataType(enum.Enum):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataType.{self.name}"
-
-
-_PYTHON_TYPES = {
-    DataType.VARCHAR: str,
-    DataType.INTEGER: int,
-    DataType.FLOAT: float,
-    DataType.BOOLEAN: bool,
-}
-
-
-def python_type_of(data_type: DataType) -> type:
-    """Return the Python type used to store values of ``data_type``."""
-    return _PYTHON_TYPES[data_type]
-
-
-def infer_type(value: Any) -> DataType:
-    """Infer the :class:`DataType` of a Python value.
-
-    ``bool`` is checked before ``int`` because ``bool`` is a subclass of
-    ``int`` in Python.
-    """
-    if isinstance(value, bool):
-        return DataType.BOOLEAN
-    if isinstance(value, int):
-        return DataType.INTEGER
-    if isinstance(value, float):
-        return DataType.FLOAT
-    if isinstance(value, str):
-        return DataType.VARCHAR
-    raise TypeMismatchError(f"no relational type for Python value {value!r}")
 
 
 def coerce_value(value: Any, data_type: DataType) -> Optional[Any]:

@@ -41,7 +41,6 @@ from repro.textsys.postings import (
     difference,
     intersect,
     intersect_linear,
-    intersect_many,
     positional_intersect,
     union,
     union_many,
@@ -91,7 +90,6 @@ __all__ = [
     "PostingList",
     "intersect",
     "intersect_linear",
-    "intersect_many",
     "union",
     "union_many",
     "difference",

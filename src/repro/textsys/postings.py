@@ -40,7 +40,6 @@ __all__ = [
     "PostingList",
     "intersect",
     "intersect_linear",
-    "intersect_many",
     "union",
     "union_many",
     "difference",
@@ -330,19 +329,6 @@ def intersect_linear(left: PostingList, right: PostingList) -> PostingList:
     costs ``|left| + |right|`` interpreter steps regardless of skew.
     """
     return PostingList._from_sorted(_intersect_linear(left._docs, right._docs))
-
-
-def intersect_many(lists: Sequence[PostingList]) -> PostingList:
-    """Intersect several lists, smallest pair first, stopping when empty."""
-    if not lists:
-        raise ValueError("intersect_many of no lists")
-    ordered = sorted(lists, key=len)
-    current = ordered[0]._docs
-    for other in ordered[1:]:
-        if not current:
-            break
-        current = _intersect_arrays(current, other._docs)
-    return PostingList._from_sorted(array("q", current))
 
 
 def union(left: PostingList, right: PostingList) -> PostingList:

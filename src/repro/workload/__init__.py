@@ -8,7 +8,6 @@ from repro.workload.corpus import (
     expanded_vocabulary,
     iter_synthetic_documents,
 )
-from repro.workload.io import load_scenario_data, save_scenario
 from repro.workload.scenarios import (
     DEFAULT_CONSTANTS,
     Scenario,
@@ -42,6 +41,4 @@ __all__ = [
     "reserved_pool",
     "zipf_text",
     "zipf_word",
-    "save_scenario",
-    "load_scenario_data",
 ]

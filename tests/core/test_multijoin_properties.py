@@ -25,6 +25,7 @@ from repro.core.textmatch import value_matches_field
 from repro.gateway.client import TextClient
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import ColumnRef, Comparison
+from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
 from repro.textsys.documents import Document, DocumentStore
@@ -114,8 +115,8 @@ def reference_result(catalog, server, query):
         by_relation = dict(zip(query.relations, combo))
         ok = True
         for predicate in query.join_predicates:
-            a, b = predicate.relations
-            joined = by_relation[a].concat(by_relation[b])
+            left, right = (by_relation[name] for name in predicate.relations)
+            joined = Row(left.schema.concat(right.schema), left.values + right.values)
             if predicate.expression.evaluate(joined) is not True:
                 ok = False
                 break

@@ -110,13 +110,18 @@ def test_multi_join_round_trip(seed, long_form):
 
 
 def test_render_rejects_foreign_expressions():
+    """The surface syntax is a conjunction of comparisons; a disjunction
+    has no rendering."""
     from repro.errors import PlanError
-    from repro.relational.expressions import Like
+    from repro.relational.expressions import Or
 
     query = TextJoinQuery(
         relation="student",
         join_predicates=(TextJoinPredicate("student.name", "author"),),
-        relation_predicate=Like(ColumnRef("student.name"), "a%"),
+        relation_predicate=Or((
+            Comparison("=", ColumnRef("student.name"), Literal("kao")),
+            Comparison("=", ColumnRef("student.name"), Literal("pham")),
+        )),
     )
     with pytest.raises(PlanError, match="render"):
         render_query(query)

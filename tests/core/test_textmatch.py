@@ -68,7 +68,7 @@ class TestExpression:
 
     def test_integer_value_matches_its_digits(self):
         """The *value* side is matched as ``str(value)``, as the join
-        methods instantiate it (``instantiate_predicates``, ``rtp_match``)."""
+        methods instantiate it (``instantiate_predicates``, ``rtp_match_pairs``)."""
         schema = Schema.of(("s.value", DataType.INTEGER), ("d.field", DataType.VARCHAR))
         expression = TextMatch(ColumnRef("s.value"), ColumnRef("d.field"))
         assert expression.evaluate(Row(schema, [1993, "may 1993"])) is True

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.errors import StatisticsError
 from repro.gateway.statistics import (
-    CorrelationModel,
     PredicateStatistics,
     TextStatisticsRegistry,
     joint_fanout,
@@ -69,27 +68,6 @@ class TestJointFanout:
     def test_invalid_document_count(self):
         with pytest.raises(StatisticsError):
             joint_fanout([1.0], 1, 0)
-
-
-class TestCorrelationModel:
-    def test_factories(self):
-        assert CorrelationModel.fully_correlated(10).g == 1
-        assert CorrelationModel.independent(10, 3).g == 3
-
-    def test_model_application(self):
-        model = CorrelationModel(g=1, document_count=100)
-        stats = [
-            PredicateStatistics("a", "f", 0.5, 5.0),
-            PredicateStatistics("b", "f", 0.1, 2.0),
-        ]
-        assert model.selectivity(stats) == pytest.approx(0.1)
-        assert model.fanout(stats) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(StatisticsError):
-            CorrelationModel(g=0, document_count=10)
-        with pytest.raises(StatisticsError):
-            CorrelationModel(g=1, document_count=0)
 
 
 class TestRegistry:

@@ -5,15 +5,13 @@ they stood before expressions gained one evaluation path
 (``Expression.bind``), moved here verbatim.  The only edit is the
 recursion: ``self.left.evaluate(row)`` reads
 ``reference_evaluate(self.left, row)``.  Every column is looked up by
-name on every row (``row[name]``), every LIKE pattern is re-translated
-and every CONTAINS pattern re-escaped per row.  The differential tests
+name on every row (``row[name]``).  The differential tests
 in ``test_expressions.py`` require the bound path to agree with them on
 every input: same value, or the same exception class.  The per-class
 ``referenced_columns`` bodies, folded into one base-class walk over the
 operands at the same time, are kept here too.
 """
 
-import re
 from typing import Any, FrozenSet, Optional
 
 from repro.core.textmatch import TextMatch, value_matches_field
@@ -22,13 +20,9 @@ from repro.relational.expressions import (
     And,
     ColumnRef,
     Comparison,
-    Contains,
-    InList,
-    Like,
     Literal,
     Not,
     Or,
-    _like_to_regex,
 )
 from repro.relational.row import Row
 
@@ -92,39 +86,6 @@ def _not(self: Not, row: Row) -> Optional[bool]:
     return not value
 
 
-def _like(self: Like, row: Row) -> Optional[bool]:
-    value = reference_evaluate(self.operand, row)
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise TypeMismatchError(f"LIKE applied to non-string {value!r}")
-    return _like_to_regex(self.pattern).match(value) is not None
-
-
-def _contains(self: Contains, row: Row) -> Optional[bool]:
-    haystack = reference_evaluate(self.haystack, row)
-    needle = reference_evaluate(self.needle, row)
-    if haystack is None or needle is None:
-        return None
-    if not isinstance(haystack, str) or not isinstance(needle, str):
-        raise TypeMismatchError(
-            f"CONTAINS applied to non-strings {haystack!r}, {needle!r}"
-        )
-    hay = haystack.lower()
-    ndl = needle.lower()
-    if not self.word_boundary:
-        return ndl in hay
-    pattern = r"(?<![0-9a-z])" + re.escape(ndl) + r"(?![0-9a-z])"
-    return re.search(pattern, hay) is not None
-
-
-def _in_list(self: InList, row: Row) -> Optional[bool]:
-    value = reference_evaluate(self.operand, row)
-    if value is None:
-        return None
-    return value in self.values
-
-
 def _text_match(self: TextMatch, row: Row) -> Optional[bool]:
     value = reference_evaluate(self.value, row)
     field_text = reference_evaluate(self.field_text, row)
@@ -144,9 +105,6 @@ _EVALUATORS = {
     And: _and,
     Or: _or,
     Not: _not,
-    Like: _like,
-    Contains: _contains,
-    InList: _in_list,
     TextMatch: _text_match,
 }
 
@@ -170,9 +128,6 @@ _REFERENCED = {
     And: lambda self: _operand_columns(*self.operands),
     Or: lambda self: _operand_columns(*self.operands),
     Not: lambda self: _operand_columns(self.operand),
-    Like: lambda self: _operand_columns(self.operand),
-    Contains: lambda self: _operand_columns(self.haystack, self.needle),
-    InList: lambda self: _operand_columns(self.operand),
     TextMatch: lambda self: _operand_columns(self.value, self.field_text),
 }
 

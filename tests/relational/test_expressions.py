@@ -7,35 +7,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.textmatch import TextMatch
 from repro.errors import ExpressionError, SchemaError, TypeMismatchError
-from repro.relational import expressions as expressions_module
 from repro.relational.expressions import (
     And,
     ColumnRef,
     Comparison,
-    Contains,
-    InList,
-    Like,
     Literal,
     Not,
     Or,
     conjoin,
     conjuncts,
+    satisfying,
 )
-from repro.relational.operators import (
-    CrossProduct,
-    Filter,
-    HashJoin,
-    MaterializedInput,
-    NestedLoopJoin,
-)
+from repro.relational.operators import MaterializedInput, NestedLoopJoin
 from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
-from tests.core.reference_local_join import (
-    ReferenceFilter,
-    ReferenceHashJoin,
-    ReferenceNestedLoopJoin,
-)
+from tests.core.reference_local_join import ReferenceNestedLoopJoin, reference_filter
 from tests.relational.reference_expressions import (
     reference_evaluate,
     reference_referenced_columns,
@@ -115,49 +102,6 @@ class TestBooleanLogic:
             Or(())
 
 
-class TestLike:
-    def test_percent_wildcard(self):
-        assert Like(ColumnRef("s.note"), "belief%").evaluate(row()) is True
-        assert Like(ColumnRef("s.note"), "%update%").evaluate(row()) is True
-        assert Like(ColumnRef("s.note"), "update%").evaluate(row()) is False
-
-    def test_underscore_wildcard(self):
-        assert Like(ColumnRef("s.name"), "k_o").evaluate(row()) is True
-
-    def test_regex_metacharacters_escaped(self):
-        r = row(note="a.c")
-        assert Like(ColumnRef("s.note"), "a.c").evaluate(r) is True
-        assert Like(ColumnRef("s.note"), "abc").evaluate(r) is False
-
-    def test_null_unknown(self):
-        assert Like(ColumnRef("s.note"), "%").evaluate(row(note=None)) is None
-
-
-class TestContains:
-    def test_word_boundary(self):
-        r = row(note="the belief update operator")
-        assert Contains(ColumnRef("s.note"), Literal("belief update")).evaluate(r) is True
-        assert Contains(ColumnRef("s.note"), Literal("lief upd")).evaluate(r) is False
-
-    def test_substring_mode(self):
-        r = row(note="the belief update operator")
-        expr = Contains(ColumnRef("s.note"), Literal("lief upd"), word_boundary=False)
-        assert expr.evaluate(r) is True
-
-    def test_case_insensitive(self):
-        r = row(note="Belief Update")
-        assert Contains(ColumnRef("s.note"), Literal("belief")).evaluate(r) is True
-
-
-class TestInList:
-    def test_membership(self):
-        assert InList(ColumnRef("s.name"), ("kao", "pham")).evaluate(row()) is True
-        assert InList(ColumnRef("s.name"), ("pham",)).evaluate(row()) is False
-
-    def test_null_unknown(self):
-        assert InList(ColumnRef("s.name"), ("kao",)).evaluate(row(name=None)) is None
-
-
 class TestConjuncts:
     def test_flattening(self):
         a = Comparison("=", Literal(1), Literal(1))
@@ -207,37 +151,6 @@ def test_and_or_match_python_semantics_on_booleans(values):
 
 
 class TestBindOnce:
-    def test_bound_like_translates_its_pattern_once(self, monkeypatch):
-        calls = []
-        translate = expressions_module._like_to_regex
-
-        def counting(pattern):
-            calls.append(pattern)
-            return translate(pattern)
-
-        monkeypatch.setattr(expressions_module, "_like_to_regex", counting)
-        test = Like(ColumnRef("s.note"), "%update%").bind(SCHEMA)
-        assert all(test(row(note=f"update {i}").values) for i in range(1000))
-        assert calls == ["%update%"]
-
-    def test_bound_contains_compiles_a_literal_needle_once(self, monkeypatch):
-        calls = []
-        compile_search = expressions_module._word_search
-
-        def counting(needle):
-            calls.append(needle)
-            return compile_search(needle)
-
-        monkeypatch.setattr(expressions_module, "_word_search", counting)
-        literal = Contains(ColumnRef("s.note"), Literal("update")).bind(SCHEMA)
-        column = Contains(ColumnRef("s.note"), ColumnRef("s.name")).bind(SCHEMA)
-        for i in range(10):
-            assert literal(row(note=f"an update {i}").values) is True
-        assert calls == ["update"]
-        for i in range(10):
-            assert column(row(name=f"w{i}", note=f"w{i} x").values) is True
-        assert len(calls) == 11  # a column needle: one pattern per value
-
     def test_unresolvable_column_raises_only_when_reached(self):
         unknown = Comparison("=", ColumnRef("s.missing"), Literal(1))
         guarded = And((Comparison("=", Literal(1), Literal(2)), unknown))
@@ -285,9 +198,6 @@ def expression_trees(names):
             st.builds(And, operands),
             st.builds(Or, operands),
             st.builds(Not, children),
-            st.builds(Like, children, st.sampled_from(["k_o", "%a%", "a.c", "%"])),
-            st.builds(Contains, children, children, st.booleans()),
-            st.builds(InList, children, st.lists(scalars, max_size=3).map(tuple)),
             st.builds(TextMatch, children, children),
         )
 
@@ -330,8 +240,7 @@ def test_bound_expression_equals_by_name_evaluate(expression, diff_row):
 )
 def test_filter_equals_by_name_filter(predicate, rows):
     """Rows of two schema objects in one input: rebound per schema run."""
-    child = MaterializedInput(DIFF_SCHEMA, rows)
-    assert_same_rows(Filter(child, predicate), ReferenceFilter(child, predicate))
+    assert_same_rows(satisfying(predicate, rows), reference_filter(predicate, rows))
 
 
 LEFT = Schema.of(("l.k", DataType.INTEGER), ("l.s", DataType.VARCHAR))
@@ -362,11 +271,8 @@ def test_join_operators_equal_by_name_joins(left, right, predicate):
         NestedLoopJoin(left, right, predicate),
         ReferenceNestedLoopJoin(left, right, predicate),
     )
-    keys = [("l.k", "r.k")]
-    assert_same_rows(
-        HashJoin(left, right, keys, predicate),
-        ReferenceHashJoin(left, right, keys, predicate),
-    )
     if predicate is not None:
-        product = CrossProduct(left, right)
-        assert_same_rows(Filter(product, predicate), ReferenceFilter(product, predicate))
+        product = NestedLoopJoin(left, right)
+        assert_same_rows(
+            satisfying(predicate, product), reference_filter(predicate, product)
+        )

@@ -27,33 +27,6 @@ def test_lookup_by_qualified_and_bare(schema):
     assert row["year"] == 3
 
 
-def test_get_with_default(schema):
-    row = Row(schema, ["kao", 3])
-    assert row.get("missing", "fallback") == "fallback"
-    assert row.get("year") == 3
-
-
-def test_to_dict(schema):
-    row = Row(schema, ["kao", 3])
-    assert row.to_dict() == {"s.name": "kao", "s.year": 3}
-
-
-def test_project(schema):
-    row = Row(schema, ["kao", 3])
-    projected = row.project(["s.year"])
-    assert projected.values == (3,)
-    assert projected.schema.names() == ["s.year"]
-
-
-def test_concat(schema):
-    other_schema = Schema.of(("f.dept", DataType.VARCHAR))
-    left = Row(schema, ["kao", 3])
-    right = Row(other_schema, ["cs"])
-    joined = left.concat(right)
-    assert joined.values == ("kao", 3, "cs")
-    assert joined["f.dept"] == "cs"
-
-
 def test_equality_requires_schema_and_values(schema):
     a = Row(schema, ["kao", 3])
     b = Row(schema, ["kao", 3])

@@ -73,10 +73,6 @@ class TestSchema:
         assert len(combined) == 4
         assert combined.index_of("x") == 3
 
-    def test_project_preserves_order(self):
-        projected = self.schema.project(["faculty.name", "student.year"])
-        assert projected.names() == ["faculty.name", "student.year"]
-
     def test_qualified(self):
         schema = Schema.of(("a", DataType.VARCHAR)).qualified("t")
         assert schema.names() == ["t.a"]

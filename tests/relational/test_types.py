@@ -3,26 +3,7 @@
 import pytest
 
 from repro.errors import TypeMismatchError
-from repro.relational.types import DataType, coerce_value, infer_type, python_type_of
-
-
-class TestInferType:
-    def test_string(self):
-        assert infer_type("hello") is DataType.VARCHAR
-
-    def test_integer(self):
-        assert infer_type(42) is DataType.INTEGER
-
-    def test_float(self):
-        assert infer_type(4.2) is DataType.FLOAT
-
-    def test_bool_not_integer(self):
-        """bool is a subclass of int in Python; must map to BOOLEAN."""
-        assert infer_type(True) is DataType.BOOLEAN
-
-    def test_unsupported_raises(self):
-        with pytest.raises(TypeMismatchError):
-            infer_type([1, 2])
+from repro.relational.types import DataType, coerce_value
 
 
 class TestCoerceValue:
@@ -58,10 +39,3 @@ class TestCoerceValue:
 
     def test_boolean_accepts_bool(self):
         assert coerce_value(True, DataType.BOOLEAN) is True
-
-
-def test_python_type_mapping():
-    assert python_type_of(DataType.VARCHAR) is str
-    assert python_type_of(DataType.INTEGER) is int
-    assert python_type_of(DataType.FLOAT) is float
-    assert python_type_of(DataType.BOOLEAN) is bool

@@ -63,6 +63,29 @@ def test_text_source_contract_surface():
         assert not hasattr(module, name), name
 
 
+def test_relational_substrate_surface():
+    """The relational engine keeps what a plan executes; what no entry
+    point reached is gone, exports included."""
+    from repro import core, gateway, relational, textsys, workload
+
+    assert set(relational.__all__) >= {
+        "Catalog", "Schema", "DataType", "MaterializedInput", "NestedLoopJoin",
+    }
+    for module, name in (
+        (relational, "HashJoin"),
+        (relational, "GroupBy"),
+        (relational, "HashIndex"),
+        (relational, "load_table_csv"),
+        (relational, "collect_table_statistics"),
+        (relational, "Like"),
+        (workload, "save_scenario"),
+        (core.joinmethods, "rtp_match"),
+        (gateway, "CorrelationModel"),
+        (textsys, "intersect_many"),
+    ):
+        assert not hasattr(module, name), name
+
+
 def test_one_method_space_surface():
     """Vector strategies are rows of the one method-space table, ranked
     by the one enumerator into the one ``MethodChoice``."""

@@ -195,3 +195,51 @@ def test_no_per_row_evaluate():
                 ):
                     offenders.append(f"{name}:{node.lineno}")
     assert offenders == [], "per-row evaluate:\n" + "\n".join(sorted(set(offenders)))
+
+
+def _unused_imports(path: Path):
+    """``(line, name)`` of every import ``path`` binds and never reads.
+
+    A name is read if it appears as a ``Name`` (an attribute base such as
+    ``os`` in ``os.path`` is one), inside a quoted annotation, or in
+    ``__all__``; ``from __future__`` imports are directives, not names.
+    """
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (
+            isinstance(node, ast.Assign)
+            and "__all__" in [getattr(target, "id", None) for target in node.targets]
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(element.value for element in node.value.elts)
+        quoted = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+            used.update(
+                name.id
+                for name in ast.walk(ast.parse(quoted.value, mode="eval"))
+                if isinstance(name, ast.Name)
+            )
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    """What the lint gate (pyflakes ``F401``) checks, for the modules under
+    ``src/`` (package ``__init__`` files re-export by design): an import
+    nothing reads is dead weight every ``import repro`` pays for."""
+    offenders = [
+        f"{path.relative_to(REPO_ROOT)}:{line} {name}"
+        for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in _unused_imports(path)
+    ]
+    assert offenders == [], "unused imports:\n" + "\n".join(offenders)

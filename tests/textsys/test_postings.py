@@ -14,7 +14,6 @@ from repro.textsys.postings import (
     difference,
     intersect,
     intersect_linear,
-    intersect_many,
     positional_intersect,
     union,
     union_many,
@@ -182,10 +181,6 @@ class TestKWayKernels:
         assert result == reduce(union, lists, plist([]))
         assert all(result.doc_array is not operand.doc_array for operand in lists)
 
-    def test_intersect_many_requires_lists(self):
-        with pytest.raises(ValueError):
-            intersect_many([])
-
     @given(st.lists(doc_sets, min_size=1, max_size=6))
     def test_kway_kernels_match_python_sets(self, doc_lists):
         lists = [plist(docs) for docs in doc_lists]
@@ -194,7 +189,7 @@ class TestKWayKernels:
             set.intersection(*map(set, doc_lists))
         ) if all(doc_lists) else []
         assert union_many(lists).docs() == union_expected
-        assert intersect_many(lists).docs() == intersect_expected
+        assert reduce(intersect, lists).docs() == intersect_expected
 
 
 class TestArrayBackedRepresentation:

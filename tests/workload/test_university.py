@@ -14,7 +14,7 @@ def test_student_table():
         catalog, [("kao", "databases", 2, "garcia", "cs")]
     )
     assert len(table) == 1
-    row = table.rows()[0]
+    row = next(table.scan())
     assert row["student.name"] == "kao"
     assert row["student.year"] == 2
     assert "student" in catalog
@@ -24,7 +24,7 @@ def test_faculty_table():
     catalog = Catalog()
     table = build_faculty_table(catalog, [("garcia", "ee"), ("ullman", "cs")])
     assert len(table) == 2
-    assert table.distinct_count("dept") == 2
+    assert len(set(table.column_values("dept"))) == 2
 
 
 def test_project_table():
@@ -34,8 +34,8 @@ def test_project_table():
         [("condor", "NSF", "kao"), ("condor", "NSF", "pham")],
     )
     assert len(table) == 2
-    assert table.distinct_count("name") == 1
-    assert table.distinct_count("member") == 2
+    assert len(set(table.column_values("name"))) == 1
+    assert len(set(table.column_values("member"))) == 2
 
 
 def test_custom_table_names():
