@@ -19,7 +19,6 @@ from repro.bench.reporting import (
     ascii_table,
     counter_delta_rows,
     format_value,
-    series_block,
 )
 
 __all__ = [
@@ -38,5 +37,4 @@ __all__ = [
     "ascii_table",
     "counter_delta_rows",
     "format_value",
-    "series_block",
 ]

@@ -79,14 +79,6 @@ class MultibackendScenario:
     vector_name: str = "vsim"
     parameters: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def boolean_server(self) -> BooleanTextServer:
-        return self.registry.server(self.boolean_name)
-
-    @property
-    def vector_server(self) -> VectorTextServer:
-        return self.registry.server(self.vector_name)
-
     def boolean_context(self, **kwargs) -> JoinContext:
         """A context charging the Boolean backend's attributed ledger."""
         return JoinContext(

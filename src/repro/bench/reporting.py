@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence
 
-__all__ = ["ascii_table", "format_value", "series_block", "counter_delta_rows"]
+__all__ = ["ascii_table", "format_value", "counter_delta_rows"]
 
 
 def format_value(value: Any) -> str:
@@ -61,13 +61,3 @@ def counter_delta_rows(before, after) -> List[List[Any]]:
     counter fields.
     """
     return [[name, value] for name, value in (after - before).as_dict().items()]
-
-
-def series_block(
-    name: str, xs: Sequence[Any], ys: Sequence[Any], x_label: str, y_label: str
-) -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    lines = [f"{name}  ({x_label} -> {y_label})"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {format_value(x):>8}  {format_value(y):>12}")
-    return "\n".join(lines)

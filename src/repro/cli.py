@@ -228,9 +228,7 @@ def _print_transport_report(transport) -> None:
         )
     )
     if transitions:
-        print("breaker transitions: " + ", ".join(
-            f"{old}->{new}" for _, old, new in transitions
-        ))
+        print("breaker transitions: " + ", ".join(transitions))
 
 
 def _print_sharded_report(transport) -> None:

@@ -45,7 +45,6 @@ from repro.core.feedback import (
     PredicateObservation,
     QErrorReport,
     corpus_fingerprint,
-    plan_qerror_report,
     qerror,
     query_key,
 )
@@ -152,7 +151,6 @@ __all__ = [
     "PredicateObservation",
     "QErrorReport",
     "corpus_fingerprint",
-    "plan_qerror_report",
     "qerror",
     "query_key",
     "parse_query",

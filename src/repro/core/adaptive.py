@@ -51,6 +51,9 @@ from repro.gateway.sampling import observed_predicate_statistics
 
 __all__ = ["AdaptiveAttempt", "AdaptiveExecution", "execute_adaptively"]
 
+#: How many times one execution may re-rank the methods after an abort.
+_MAX_REOPTIMIZATIONS = 2
+
 
 @dataclass(frozen=True)
 class AdaptiveAttempt:
@@ -105,13 +108,17 @@ def _predicted_fetch(method: ProbeRtp, inputs: QueryCostInputs) -> float:
 
 
 def _armed(choice: MethodChoice, inputs: QueryCostInputs, safety_factor: float):
-    """Arm fetch-bounded methods with a prediction-derived cap."""
+    """Arm fetch-bounded methods with a prediction-derived cap.
+
+    Returns the method to run and its predicted fetch (``None`` for an
+    unguarded method).
+    """
     method = choice.method
     if isinstance(method, ProbeRtp):
         predicted = _predicted_fetch(method, inputs)
         cap = max(1, math.ceil(safety_factor * max(predicted, 1.0)))
-        return ProbeRtp(method.probe_columns, fetch_cap=cap)
-    return method
+        return ProbeRtp(method.probe_columns, fetch_cap=cap), predicted
+    return method, None
 
 
 def _inputs_with_observation(
@@ -191,20 +198,18 @@ def execute_adaptively(
     inputs: QueryCostInputs,
     safety_factor: float = 4.0,
     feedback: Optional[FeedbackStore] = None,
-    reoptimize: bool = True,
-    max_reoptimizations: int = 2,
 ) -> AdaptiveExecution:
     """Run the ranked choices with runtime guards, re-ranking on abort.
 
     ``safety_factor`` scales each guarded method's predicted document
     fetch into its runtime cap; 4x tolerates ordinary estimation noise
-    while still catching order-of-magnitude misestimates.  With
-    ``reoptimize`` (the default) an abort whose guard observed real
-    statistics triggers re-enumeration of the method ranking with those
-    statistics injected (at most ``max_reoptimizations`` times); already
-    attempted methods are never retried.  ``feedback``, when given,
-    records abort causes, observed predicate statistics, and completed
-    methods' predicted-vs-measured cost — without touching the ledger.
+    while still catching order-of-magnitude misestimates.  An abort
+    whose guard observed real statistics triggers re-enumeration of the
+    method ranking with those statistics injected (at most
+    ``_MAX_REOPTIMIZATIONS`` times); already attempted methods are never
+    retried.  ``feedback``, when given, records abort causes, observed
+    predicate statistics, and completed methods' predicted-vs-measured
+    cost — without touching the ledger.
     """
     if safety_factor <= 0:
         raise OptimizationError("safety_factor must be positive")
@@ -226,12 +231,7 @@ def execute_adaptively(
         if choice.name in attempted_names:
             continue
         attempted_names.add(choice.name)
-        method = _armed(choice, current_inputs, safety_factor)
-        predicted_fetch = (
-            _predicted_fetch(choice.method, current_inputs)
-            if isinstance(choice.method, ProbeRtp)
-            else None
-        )
+        method, predicted_fetch = _armed(choice, current_inputs, safety_factor)
         attempt_before = ledger.snapshot()
         try:
             execution = method.execute(query, context)
@@ -255,11 +255,7 @@ def execute_adaptively(
                 observed,
                 str(error),
             )
-            if (
-                observed
-                and reoptimize
-                and reoptimizations < max_reoptimizations
-            ):
+            if observed and reoptimizations < _MAX_REOPTIMIZATIONS:
                 current_inputs = _inputs_with_observation(
                     current_inputs, observed
                 )

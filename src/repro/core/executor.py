@@ -362,19 +362,7 @@ class _PlanRunner:
                 shape=ResultShape.PAIRS,
                 long_form=self.query.long_form,
             )
-            method = plan.method
-            degradation = self.context.degradation
-            if degradation is not None and degradation.should_fallback(method.name):
-                # The remote source is degraded: OR-batched semi-joins
-                # would waste large frames on a lossy link, so run the
-                # per-tuple substitution method instead (same results,
-                # smaller units of retryable work).
-                from repro.core.joinmethods.tuple_substitution import (
-                    TupleSubstitution,
-                )
-
-                method = TupleSubstitution()
-            execution = method.execute(synthetic, self.context)
+            execution = plan.method.execute(synthetic, self.context)
         finally:
             self.context.materialized.pop(INTERMEDIATE, None)
 

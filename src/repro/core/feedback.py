@@ -31,7 +31,7 @@ import json
 import os
 import tempfile
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import FeedbackError
@@ -46,7 +46,6 @@ __all__ = [
     "FeedbackStore",
     "corpus_fingerprint",
     "query_key",
-    "plan_qerror_report",
 ]
 
 #: Current on-disk payload format.
@@ -94,17 +93,6 @@ class EstimateRecord:
         floor = 0.001 if self.unit == "seconds" else 1.0
         return qerror(self.estimated, self.actual, floor=floor)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "estimated": self.estimated,
-            "actual": self.actual,
-            "unit": self.unit,
-            "detail": self.detail,
-            "qerror": self.q,
-        }
-
 
 @dataclass
 class QErrorReport:
@@ -135,19 +123,6 @@ class QErrorReport:
     def worst(self, n: int = 5) -> List[EstimateRecord]:
         """The ``n`` records with the largest q-error, worst first."""
         return sorted(self.records, key=lambda r: r.q, reverse=True)[:n]
-
-    def for_kind(self, kind: str) -> "QErrorReport":
-        return QErrorReport(
-            [record for record in self.records if record.kind == kind]
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "records": len(self.records),
-            "max_qerror": self.max_q,
-            "median_qerror": self.median_q,
-            "worst": [record.as_dict() for record in self.worst()],
-        }
 
     def render(self, top: int = 10) -> str:
         """Human-readable report: summary line plus worst offenders."""
@@ -189,14 +164,6 @@ class PredicateObservation:
     matched: int
     documents: float
 
-    def merge(self, other: "PredicateObservation") -> "PredicateObservation":
-        return replace(
-            self,
-            searches=self.searches + other.searches,
-            matched=self.matched + other.matched,
-            documents=self.documents + other.documents,
-        )
-
     def statistics(self) -> PredicateStatistics:
         """The observation as well-formed :class:`PredicateStatistics`."""
         return observed_predicate_statistics(
@@ -235,39 +202,6 @@ def query_key(query: Any) -> str:
         nodes = [selection_node(s) for s in query.text_selections]
         selections = " AND ".join(sorted(node.to_expression() for node in nodes))
     return f"{predicates}|{selections}"
-
-
-def plan_qerror_report(execution: Any) -> QErrorReport:
-    """Per-plan-node q-errors from an executed, annotated plan.
-
-    ``execution`` is a :class:`~repro.core.executor.PlanExecution`; its
-    ``node_actuals`` pair each node's estimated rows and cumulative cost
-    with what the run measured.  Nodes executed without annotation
-    (estimates ``None``) are skipped — there is no estimate to grade.
-    """
-    report = QErrorReport()
-    for actual in getattr(execution, "node_actuals", ()):
-        if actual.estimated_rows is not None:
-            report.add(
-                EstimateRecord(
-                    label=actual.label,
-                    kind="node",
-                    estimated=float(actual.estimated_rows),
-                    actual=float(actual.actual_rows),
-                    unit="rows",
-                )
-            )
-        if actual.estimated_cost is not None:
-            report.add(
-                EstimateRecord(
-                    label=actual.label,
-                    kind="node",
-                    estimated=float(actual.estimated_cost),
-                    actual=float(actual.actual_cost),
-                    unit="seconds",
-                )
-            )
-    return report
 
 
 def _require(condition: bool, message: str) -> None:
@@ -336,26 +270,22 @@ class FeedbackStore:
         """Fold one run's evidence for ``column in field`` into the store."""
         if searches < 1:
             return
-        observation = PredicateObservation(
-            column=column,
-            field=field_name,
-            searches=int(searches),
-            matched=min(max(int(matched), 0), int(searches)),
-            documents=max(float(documents), 0.0),
-        )
         key = self._predicate_key(fingerprint, column, field_name)
         with self._lock:
-            entry = self._predicates.get(key)
-            if entry is not None:
-                observation = self._entry_observation(entry).merge(observation)
-            self._predicates[key] = {
-                "fingerprint": fingerprint,
-                "column": column,
-                "field": field_name,
-                "searches": observation.searches,
-                "matched": observation.matched,
-                "documents": observation.documents,
-            }
+            entry = self._predicates.setdefault(
+                key,
+                {
+                    "fingerprint": fingerprint,
+                    "column": column,
+                    "field": field_name,
+                    "searches": 0,
+                    "matched": 0,
+                    "documents": 0.0,
+                },
+            )
+            entry["searches"] += int(searches)
+            entry["matched"] += min(max(int(matched), 0), int(searches))
+            entry["documents"] += max(float(documents), 0.0)
 
     @staticmethod
     def _entry_observation(entry: Dict[str, Any]) -> PredicateObservation:

@@ -233,19 +233,12 @@ class HeterogeneousExecution:
     def rows(self) -> List[Row]:
         return [row for row, _ in self.row_matches]
 
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated spend, summed across both backends' charges."""
-        return (
-            self.boolean_execution.cost.total
-            + self.vector_execution.cost.total
-        )
-
     def __repr__(self) -> str:
+        seconds = self.boolean_execution.cost.total + self.vector_execution.cost.total
         return (
             f"HeterogeneousExecution({self.plan.boolean_choice.name} + "
             f"{self.plan.vector_choice.name}, {len(self.row_matches)} rows, "
-            f"{self.simulated_seconds:.3f}s)"
+            f"{seconds:.3f}s)"
         )
 
 

@@ -8,24 +8,21 @@ This module gathers them, for every planner alike:
   a cheap local operation any DBMS catalog supports;
 - text predicate statistics come from a
   :class:`~repro.gateway.statistics.TextStatisticsRegistry` when already
-  gathered, and are otherwise measured on the spot — either *exactly*
-  (every distinct value, answered from the source's published directory
-  of document frequencies; only a multi-word value costs a search, and
-  that one is unmetered) or by metered *sampling* (Section 4.2's
-  approach, whose cost is amortized across queries on the same
-  predicate);
+  gathered, and are otherwise measured on the spot, *exactly*: every
+  distinct value, answered from the source's published directory of
+  document frequencies (Section 8's published statistics; only a
+  multi-word value costs a search, and that one is unmetered);
 - selection statistics (``E_sel``, ``I_sel``) are measured with one
   unmetered search of the selection conjunction.
 
 Every read goes through the :class:`~repro.gateway.client.TextClient`:
-exact-mode gathering charges nothing, but it is settled and traced there
-like any other traffic.
+gathering charges nothing, but it is settled and traced there like any
+other traffic.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.core.costmodel import QueryCostInputs, SelectionStatistics
@@ -38,10 +35,7 @@ from repro.core.joinmethods.base import (
 )
 from repro.core.query import TextJoinPredicate, TextJoinQuery, TextSelection
 from repro.gateway.client import TextClient
-from repro.gateway.sampling import (
-    exact_predicate_statistics,
-    sample_predicate_statistics,
-)
+from repro.gateway.sampling import exact_predicate_statistics
 from repro.gateway.statistics import PredicateStatistics, TextStatisticsRegistry
 from repro.relational.row import Row
 from repro.textsys.query import and_all
@@ -114,9 +108,6 @@ def predicate_statistics(
     rows_for: Callable[[TextJoinPredicate], Sequence[Row]],
     client: TextClient,
     registry: Optional[TextStatisticsRegistry] = None,
-    exact: bool = True,
-    sample_size: int = 20,
-    rng: Optional[random.Random] = None,
     feedback=None,
 ) -> Dict[str, PredicateStatistics]:
     """``s_i`` / ``f_i`` per join column: from the registry, else measured.
@@ -140,12 +131,8 @@ def predicate_statistics(
                 stats = PredicateStatistics(
                     column=column, field=field, selectivity=0.0, fanout=0.0
                 )
-            elif exact:
-                stats = exact_predicate_statistics(client, column, field, values)
             else:
-                stats = sample_predicate_statistics(
-                    client, column, field, values, sample_size=sample_size, rng=rng
-                )
+                stats = exact_predicate_statistics(client, column, field, values)
             if registry is not None:
                 registry.put(stats)
         if feedback is not None:
@@ -159,23 +146,18 @@ def build_cost_inputs(
     context: JoinContext,
     registry: Optional[TextStatisticsRegistry] = None,
     g: int = 1,
-    exact: bool = True,
-    sample_size: int = 20,
-    rng: Optional[random.Random] = None,
     feedback=None,
 ) -> QueryCostInputs:
     """Gather all statistics the Section 4.3 cost formulas need.
 
-    With ``exact=True`` (the default, matching the paper's calibrated
-    experiments) predicate statistics are computed over every distinct
-    column value from the source's published document frequencies — a
-    directory read per one-word value, one unmetered search per
-    multi-word value — and nothing is charged; the selection
-    conjunction is the one search an all-one-word query still sends.
-    With ``exact=False`` they are estimated by metered sampling.  Either
-    way every read goes through the client, results are cached in
-    ``registry`` when one is provided, and ``feedback`` blends observed
-    statistics into each prior (see :func:`predicate_statistics`).
+    Predicate statistics are computed over every distinct column value
+    from the source's published document frequencies — a directory read
+    per one-word value, one unmetered search per multi-word value — and
+    nothing is charged; the selection conjunction is the one search an
+    all-one-word query still sends.  Every read goes through the client,
+    results are cached in ``registry`` when one is provided, and
+    ``feedback`` blends observed statistics into each prior (see
+    :func:`predicate_statistics`).
     """
     client = context.client
     capabilities = source_capabilities(client)
@@ -188,9 +170,6 @@ def build_cost_inputs(
             lambda predicate: rows,
             client,
             registry=registry,
-            exact=exact,
-            sample_size=sample_size,
-            rng=rng,
             feedback=feedback,
         ),
         selection=selection_statistics(query.text_selections, client),

@@ -51,7 +51,6 @@ __all__ = [
     "JoinMethod",
     "ensure_method_legal",
     "ensure_plannable",
-    "effective_term_limit",
     "joining_rows",
     "selection_node",
     "selection_nodes",
@@ -72,20 +71,11 @@ class JoinContext:
     output of earlier joins (the relation named by a
     :class:`~repro.core.query.TextJoinQuery` is looked up here first,
     then in the catalog).
-
-    ``degradation`` is an optional :class:`~repro.remote.resilience.
-    DegradationPolicy` (duck-typed to keep the core free of remote
-    imports): when the text source is reached over an unreliable
-    transport, the SJ-family methods shrink their batch capacity through
-    it and the executor may fall back from SJ to TS (see
-    :func:`effective_term_limit`).  ``None`` — the default — changes
-    nothing.
     """
 
     catalog: Catalog
     client: TextClient
     materialized: Dict[str, List[Row]] = field(default_factory=dict)
-    degradation: Optional[Any] = None
 
 
 @dataclass
@@ -99,11 +89,6 @@ class MethodExecution:
     tuples: List[Row] = field(default_factory=list)
     cost: CostLedger = field(default_factory=CostLedger)
     wall_seconds: float = 0.0
-
-    @property
-    def simulated_seconds(self) -> float:
-        """Total simulated cost charged by the method."""
-        return self.cost.total
 
     def result_keys(self) -> frozenset:
         """A canonical, shape-appropriate identity set for the results."""
@@ -208,20 +193,6 @@ def ensure_plannable(required_kind: str, source: Any) -> None:
             f"strategies) cannot be planned against this "
             f"{source.source_kind!r} backend; see repro.core.heterogeneous"
         )
-
-
-def effective_term_limit(context: JoinContext) -> int:
-    """The per-search term budget available right now.
-
-    Normally the server's published ``M``; while the context's
-    degradation policy reports the source degraded, a smaller budget, so
-    OR-batched semi-join searches lose less work when a frame fails and
-    must be retried.
-    """
-    limit = context.client.term_limit
-    if context.degradation is not None:
-        limit = context.degradation.effective_term_limit(limit)
-    return limit
 
 
 def joining_rows(context: JoinContext, query: TextJoinQuery) -> List[Row]:

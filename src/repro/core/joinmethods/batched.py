@@ -35,10 +35,6 @@ from repro.textsys.query import and_all
 __all__ = ["BatchedTupleSubstitution", "cost_batched_ts"]
 
 
-def _batches(items: list, size: int) -> List[list]:
-    return [items[start : start + size] for start in range(0, len(items), size)]
-
-
 class BatchedTupleSubstitution(JoinMethod):
     """B+TS: one invocation carries up to ``batch_limit`` tuple searches."""
 

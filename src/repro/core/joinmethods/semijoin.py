@@ -27,7 +27,6 @@ from repro.core.joinmethods.base import (
     JoinContext,
     JoinMethod,
     MethodExecution,
-    effective_term_limit,
     finalize_execution,
     group_by_columns,
     instantiate_predicates,
@@ -98,7 +97,7 @@ def _run_semijoin_searches(
     documents: Dict[str, Document] = {}
     if conjuncts:
         batches = batch_conjuncts(
-            conjuncts, selection_terms, effective_term_limit(context)
+            conjuncts, selection_terms, context.client.term_limit
         )
         for batch in batches:
             node = and_all(selections + [or_all(batch)])
@@ -227,7 +226,7 @@ class SingleColumnSemiJoinRtp(JoinMethod):
             documents: Dict[str, Document] = {}
             if conjuncts:
                 for batch in batch_conjuncts(
-                    conjuncts, selection_terms, effective_term_limit(context)
+                    conjuncts, selection_terms, context.client.term_limit
                 ):
                     node = and_all(selections + [or_all(batch)])
                     result = context.client.search(node)

@@ -69,14 +69,6 @@ class VectorExecution:
     searches: int = 0
     wall_seconds: float = 0.0
 
-    @property
-    def simulated_seconds(self) -> float:
-        return self.cost.total
-
-    def matched_rows(self) -> List[Row]:
-        """The tuples with at least one ranked match, in input order."""
-        return [row for row, matches in self.row_matches if matches]
-
     def result_keys(self) -> frozenset:
         """Canonical identity: ``(tuple values, docid)`` match pairs."""
         return frozenset(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.optimizer.estimator import INTERMEDIATE, PlanEstimator
 from repro.core.optimizer.multiquery import TEXT_SOURCE, MultiJoinQuery
@@ -53,10 +53,6 @@ class SubsetDecision:
     candidates: Tuple[Tuple[str, float], ...]  # (signature, estimated cost)
     winner: str
 
-    def considered(self, fragment: str) -> bool:
-        """Did any candidate's plan signature contain ``fragment``?"""
-        return any(fragment in signature for signature, _ in self.candidates)
-
 
 @dataclass
 class OptimizedPlan:
@@ -74,14 +70,6 @@ class OptimizedPlan:
 
     def describe(self) -> str:
         return self.plan.describe()
-
-    def decision_for(self, relations: Iterable[str]) -> Optional[SubsetDecision]:
-        """The decision log entry for one subset of relations."""
-        wanted = frozenset(relations)
-        for decision in self.trace:
-            if decision.subset == wanted:
-                return decision
-        return None
 
 
 def _probe_candidates(

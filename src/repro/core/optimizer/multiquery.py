@@ -18,7 +18,7 @@ expressions whose referenced columns span exactly two relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.query import TextJoinPredicate, TextSelection
 from repro.errors import PlanError
@@ -54,10 +54,6 @@ class RelationalJoinPredicate:
     def __post_init__(self) -> None:
         if len(set(self.relations)) != 2:
             raise PlanError("a relational join predicate spans two distinct relations")
-
-    def covers(self, available: FrozenSet[str]) -> bool:
-        """True when both sides' relations are in ``available``."""
-        return set(self.relations) <= set(available)
 
     def __repr__(self) -> str:
         return f"JoinPred({self.relations[0]} ~ {self.relations[1]}: {self.expression!r})"

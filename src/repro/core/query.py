@@ -22,7 +22,7 @@ sets over several relations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro.errors import PlanError
@@ -183,11 +183,6 @@ class TextJoinQuery:
             for predicate in self.join_predicates
             if predicate.column in wanted
         )
-
-    def with_shape(self, shape: ResultShape) -> "TextJoinQuery":
-        """A copy of this query requesting a different result shape."""
-        long_form = self.long_form if shape is ResultShape.PAIRS else False
-        return replace(self, shape=shape, long_form=long_form)
 
     def __repr__(self) -> str:
         parts = [f"from {self.relation}"]

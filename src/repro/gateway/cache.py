@@ -78,12 +78,6 @@ class CacheStats:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
 
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
-
     def as_dict(self) -> Dict[str, Any]:
         return {
             "hits": self.hits,
@@ -274,13 +268,6 @@ class GatewayCache:
         """Count ``count`` lookups answered by joining an in-flight search."""
         with self._lock:
             self.coalesced += count
-
-    def clear(self) -> None:
-        """Drop all entries and forget the observed version (stats kept)."""
-        with self._lock:
-            self.search.clear()
-            self.retrieve.clear()
-            self._seen_version = None
 
     @property
     def hits(self) -> int:

@@ -525,17 +525,3 @@ class TextClient:
         )
         return result
 
-    def reset_accounting(self, include_cache_stats: bool = False) -> None:
-        """Zero the ledger and the trace (server counters and cache kept).
-
-        By default the gateway cache's hit/miss statistics survive a
-        reset — they describe the cache, not this client's accounting
-        period, and several harnesses read them across resets.  Pass
-        ``include_cache_stats=True`` to zero them too (the cached
-        *entries* are always kept; only the counters reset).
-        """
-        self.ledger.reset()
-        self.tracer.clear()
-        if include_cache_stats and self.cache is not None:
-            self.cache.search.stats.reset()
-            self.cache.retrieve.stats.reset()

@@ -54,6 +54,8 @@ __all__ = ["InflightSearchTable", "SharingStats"]
 #: only guards against that thread dying, and running into it counts as
 #: a failed flight.
 _FLIGHT_TIMEOUT = 600.0
+#: Most flights one window holds before it runs.
+_MAX_BATCH = 16
 
 Query = Union[SearchNode, str]
 
@@ -148,15 +150,11 @@ class InflightSearchTable:
     def __init__(
         self,
         window_seconds: float = 0.0,
-        max_batch: int = 16,
         inflight_hint: Optional[Callable[[], int]] = None,
     ) -> None:
         if window_seconds < 0:
             raise GatewayError("the batch window must be non-negative")
-        if max_batch < 1:
-            raise GatewayError("a window must hold at least one flight")
         self.window_seconds = window_seconds
-        self.max_batch = max_batch
         self.stats = SharingStats()
         self._inflight_hint = inflight_hint
         self._condition = threading.Condition()
@@ -252,7 +250,7 @@ class InflightSearchTable:
         """Lead ``window``: wait until it should run, then detach it."""
         deadline = time.monotonic() + self.window_seconds
         with self._condition:
-            while len(window) < self.max_batch:
+            while len(window) < _MAX_BATCH:
                 # Calling the hint under our lock is safe: admission
                 # code never calls back into the table, so the
                 # table-lock -> admission-lock order is one-way.
@@ -304,5 +302,5 @@ class InflightSearchTable:
     def __repr__(self) -> str:
         return (
             f"InflightSearchTable(window={self.window_seconds * 1000:.0f}ms, "
-            f"max_batch={self.max_batch}, {self.stats!r})"
+            f"{self.stats!r})"
         )

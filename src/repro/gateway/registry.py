@@ -130,12 +130,6 @@ class BackendRegistry:
             ledger=binding.ledger,
         )
 
-    def ledger(self, name: str) -> CostLedger:
-        return self.binding(name).ledger
-
-    def server(self, name: str) -> Any:
-        return self.binding(name).server
-
     def total(self) -> float:
         """The registry-wide spend: the sum of per-backend totals."""
         return sum(binding.ledger.total for binding in self)

@@ -22,7 +22,7 @@ full independence (joint = product).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import StatisticsError
 
@@ -52,13 +52,6 @@ class PredicateStatistics:
             )
         if self.fanout < 0:
             raise StatisticsError(f"fanout {self.fanout} for {self.column!r} negative")
-
-    @property
-    def conditional_fanout(self) -> float:
-        """Mean result size given the term matches at all (``f_i / s_i``)."""
-        if self.selectivity == 0:
-            return 0.0
-        return self.fanout / self.selectivity
 
 
 def joint_selectivity(selectivities: Sequence[float], g: int) -> float:
@@ -155,6 +148,3 @@ class TextStatisticsRegistry:
 
     def __len__(self) -> int:
         return len(self._stats)
-
-    def items(self) -> List[PredicateStatistics]:
-        return list(self._stats.values())

@@ -144,13 +144,6 @@ class CallTracer:
     # ------------------------------------------------------------------
     # aggregation
     # ------------------------------------------------------------------
-    def hit_rate(self) -> float:
-        """Fraction of spans answered by the cache (0.0 when no spans)."""
-        spans = list(self.spans)  # stable view while emitters keep appending
-        if not spans:
-            return 0.0
-        return sum(1 for span in spans if span.cache_hit) / len(spans)
-
     def by_phase(self) -> Dict[str, Dict[str, Any]]:
         """Per-phase aggregate: calls, hits, cost, saved."""
         phases: Dict[str, Dict[str, Any]] = {}

@@ -8,7 +8,7 @@ table *names*).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from repro.errors import CatalogError
 from repro.relational.schema import Schema
@@ -44,9 +44,5 @@ class Catalog:
     def __iter__(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
-    def table_names(self) -> List[str]:
-        """All registered table names, in registration order."""
-        return list(self._tables)
-
     def __repr__(self) -> str:
-        return f"Catalog({self.table_names()})"
+        return f"Catalog({list(self._tables)})"

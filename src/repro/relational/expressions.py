@@ -20,10 +20,10 @@ when a tuple reaches it, exactly where a by-name lookup would.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
-    Any, Callable, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from repro.errors import ExpressionError, SchemaError, TypeMismatchError
@@ -60,16 +60,6 @@ class Expression:
     def evaluate(self, row: Row) -> Any:
         """The value on one row; loops bind once and call the result."""
         return self.bind(row.schema)(row.values)
-
-    def referenced_columns(self) -> FrozenSet[str]:
-        """The column names read: the union over the operand expressions."""
-        refs: FrozenSet[str] = frozenset()
-        for field in fields(self):
-            value = getattr(self, field.name)
-            for operand in value if isinstance(value, tuple) else (value,):
-                if isinstance(operand, Expression):
-                    refs |= operand.referenced_columns()
-        return refs
 
     # Boolean combinators for fluent predicate construction.
     def __and__(self, other: "Expression") -> "And":
@@ -110,9 +100,6 @@ class ColumnRef(Expression):
             return itemgetter(schema.index_of(self.name))
         except SchemaError:  # raised (afresh) only when a tuple reaches it
             return lambda values: values[schema.index_of(self.name)]
-
-    def referenced_columns(self) -> FrozenSet[str]:
-        return frozenset({self.name})
 
     def __repr__(self) -> str:
         return f"col({self.name})"

@@ -3,19 +3,17 @@
 The reproduction's loose integration becomes *physically* loose here: a
 wire protocol (:mod:`~repro.remote.codec`), a fault-injecting channel
 with named link profiles (:mod:`~repro.remote.channel`), a resilience
-layer of retries, circuit breaking and degradation
+layer of retries and circuit breaking
 (:mod:`~repro.remote.resilience`), and a pooled transport implementing
 the full text-server API over frames
-(:mod:`~repro.remote.transport`).
+(:mod:`~repro.remote.transport`).  A transport stands in for the server
+behind a metered client::
 
-Install with::
+    from repro.remote import RemoteTextTransport
 
-    from repro.remote import RemoteTextTransport, install_transport
+    client = TextClient(RemoteTextTransport(server, profile="flaky", seed=7))
 
-    transport = RemoteTextTransport(server, profile="flaky", seed=7)
-    install_transport(client, transport)
-
-With no transport installed, nothing here runs and the gateway's cost
+With no transport in place, nothing here runs and the gateway's cost
 accounting stays bit-identical to the in-process reproduction.
 """
 
@@ -45,7 +43,6 @@ from repro.remote.resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    DegradationPolicy,
     RetryPolicy,
 )
 from repro.remote.router import (
@@ -58,7 +55,6 @@ from repro.remote.transport import (
     RemoteTextTransport,
     TransportEvent,
     TransportStats,
-    install_transport,
 )
 
 __all__ = [
@@ -82,14 +78,12 @@ __all__ = [
     "resolve_remote_error",
     "RetryPolicy",
     "CircuitBreaker",
-    "DegradationPolicy",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
     "RemoteTextTransport",
     "TransportEvent",
     "TransportStats",
-    "install_transport",
     "ShardBackend",
     "MergedServerCounters",
     "ShardedTextTransport",

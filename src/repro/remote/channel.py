@@ -88,7 +88,7 @@ FAULT_PROFILES: Dict[str, FaultProfile] = {
         timeout=0.02,
     ),
     # A source in trouble: slow AND failing often enough to trip
-    # breakers and trigger the executor's degradation policy.
+    # breakers.
     "degraded": FaultProfile(
         "degraded",
         latency=0.04,

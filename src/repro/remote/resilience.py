@@ -1,7 +1,7 @@
-"""Retries, circuit breaking, and degradation for the remote transport.
+"""Retries and circuit breaking for the remote transport.
 
 The in-process reproduction never fails; a networked text source fails
-routinely.  Three cooperating policies keep queries correct and the
+routinely.  Two cooperating policies keep queries correct and the
 accounting honest:
 
 - :class:`RetryPolicy` — exponential backoff with a cap and an optional
@@ -11,14 +11,9 @@ accounting honest:
   visible as the paper's ``c_i``-dominated costs.
 - :class:`CircuitBreaker` — after ``failure_threshold`` consecutive
   failures the circuit opens and calls are refused locally (no wire,
-  no wasted seconds) until ``recovery_time`` has passed; then a limited
-  number of half-open probes decide between closing and re-opening.
-  Every state transition is recorded (and traced by the client).
-- :class:`DegradationPolicy` — the optimizer-facing knob: while the
-  source is degraded (breaker not closed, or a forced flag), the
-  executor shrinks semi-join batch capacity — smaller searches lose
-  less work per failed frame — and can fall back from SJ-family methods
-  to plain TS, whose per-tuple searches are individually retryable.
+  no wasted seconds) until ``recovery_time`` has passed; then one
+  half-open probe decides between closing and re-opening.  Every state
+  transition is recorded (and traced by the client).
 
 The breaker takes an injectable clock so tests can drive recovery
 without sleeping.
@@ -28,7 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import GatewayError
@@ -36,7 +31,6 @@ from repro.errors import GatewayError
 __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
-    "DegradationPolicy",
     "BREAKER_CLOSED",
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
@@ -97,13 +91,13 @@ class CircuitBreaker:
     never sleeps — ``recovery_time`` is measured against the injected
     ``clock``, so tests can advance time explicitly.
 
-    Half-open admission is gated to ``half_open_probes`` *in-flight*
-    trial calls, correlated by thread: under pooled dispatch, calls
-    admitted before the circuit tripped can still be in flight when the
-    breaker reaches half-open, and their late outcomes must not decide
-    the probe — a stale success would close the circuit (admitting the
-    whole pool while the source may still be down) and a stale failure
-    would re-open it under the actual probe.  Only outcomes recorded by
+    Half-open admission is gated to one *in-flight* trial call,
+    correlated by thread: under pooled dispatch, calls admitted before
+    the circuit tripped can still be in flight when the breaker reaches
+    half-open, and their late outcomes must not decide the probe — a
+    stale success would close the circuit (admitting the whole pool
+    while the source may still be down) and a stale failure would
+    re-open it under the actual probe.  Only outcomes recorded by
     a thread that :meth:`allow` admitted *as a probe* move the
     half-open state; everyone else's are ignored until the probe rules.
     """
@@ -112,26 +106,22 @@ class CircuitBreaker:
         self,
         failure_threshold: int = 5,
         recovery_time: float = 1.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if failure_threshold < 1:
             raise GatewayError("failure_threshold must be at least 1")
         if recovery_time < 0:
             raise GatewayError("recovery_time must be non-negative")
-        if half_open_probes < 1:
-            raise GatewayError("half_open_probes must be at least 1")
         self.failure_threshold = failure_threshold
         self.recovery_time = recovery_time
-        self.half_open_probes = half_open_probes
         self.clock = clock
         self.transitions: List[Transition] = []
         self._lock = threading.Lock()
         self._state = BREAKER_CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        #: Thread idents of in-flight half-open probes.
-        self._probe_threads: set = set()
+        #: Thread ident of the in-flight half-open probe, if any.
+        self._probe_thread: Optional[int] = None
 
     # ------------------------------------------------------------------
     def _move(self, new_state: str) -> None:
@@ -150,7 +140,7 @@ class CircuitBreaker:
             and self.clock() - self._opened_at >= self.recovery_time
         ):
             self._move(BREAKER_HALF_OPEN)
-            self._probe_threads.clear()
+            self._probe_thread = None
 
     # ------------------------------------------------------------------
     def allow(self) -> bool:
@@ -161,17 +151,21 @@ class CircuitBreaker:
                 return True
             if self._state == BREAKER_OPEN:
                 return False
-            if len(self._probe_threads) < self.half_open_probes:
-                ident = threading.get_ident()
-                self._probe_threads.add(ident)
+            if self._probe_thread is None:
+                self._probe_thread = threading.get_ident()
                 return True
             return False
 
+    def _end_probe(self) -> bool:
+        """Was the calling thread the half-open probe?  It is not any more."""
+        was_probe = self._probe_thread == threading.get_ident()
+        if was_probe:
+            self._probe_thread = None
+        return was_probe
+
     def record_success(self) -> None:
         with self._lock:
-            ident = threading.get_ident()
-            was_probe = ident in self._probe_threads
-            self._probe_threads.discard(ident)
+            was_probe = self._end_probe()
             self._consecutive_failures = 0
             if self._state == BREAKER_HALF_OPEN and was_probe:
                 self._move(BREAKER_CLOSED)
@@ -179,9 +173,7 @@ class CircuitBreaker:
     def record_failure(self) -> None:
         with self._lock:
             self._maybe_half_open()
-            ident = threading.get_ident()
-            was_probe = ident in self._probe_threads
-            self._probe_threads.discard(ident)
+            was_probe = self._end_probe()
             if self._state == BREAKER_HALF_OPEN:
                 if was_probe:
                     # The probe failed: straight back to open.
@@ -208,59 +200,3 @@ class CircuitBreaker:
             f"threshold={self.failure_threshold}, "
             f"recovery={self.recovery_time}s)"
         )
-
-
-@dataclass
-class DegradationPolicy:
-    """Executor-facing view of source health.
-
-    When ``degraded`` is true the executor and the SJ-family methods
-    adapt: :meth:`effective_term_limit` shrinks the semi-join batch
-    capacity (by ``shrink_factor``, floored at ``min_term_budget``), and
-    :meth:`should_fallback` tells the executor to swap an annotated
-    SJ-family method for plain TS.  Smaller batches bound the work lost
-    when one frame fails; TS bounds it to a single tuple's search.
-
-    Health comes from an attached :class:`CircuitBreaker` (degraded
-    whenever the breaker is not closed) or from ``force_degraded``
-    (manual override for tests and operations).
-    """
-
-    breaker: Optional[CircuitBreaker] = None
-    shrink_factor: float = 0.5
-    min_term_budget: int = 8
-    fallback_to_ts: bool = True
-    force_degraded: bool = False
-    #: Method-name prefixes the fallback applies to.
-    fallback_prefixes: Tuple[str, ...] = ("SJ",)
-    #: How often each adaptation fired (observability).
-    shrink_applications: int = field(default=0)
-    fallback_applications: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.shrink_factor <= 1.0:
-            raise GatewayError("shrink_factor must be in (0, 1]")
-        if self.min_term_budget < 1:
-            raise GatewayError("min_term_budget must be at least 1")
-
-    @property
-    def degraded(self) -> bool:
-        if self.force_degraded:
-            return True
-        return self.breaker is not None and self.breaker.state != BREAKER_CLOSED
-
-    def effective_term_limit(self, term_limit: int) -> int:
-        """The per-search term budget SJ batching may use right now."""
-        if not self.degraded:
-            return term_limit
-        self.shrink_applications += 1
-        return max(self.min_term_budget, int(term_limit * self.shrink_factor))
-
-    def should_fallback(self, method_name: str) -> bool:
-        """Swap this method for plain TS while the source is degraded?"""
-        if not (self.degraded and self.fallback_to_ts):
-            return False
-        if any(method_name.startswith(prefix) for prefix in self.fallback_prefixes):
-            self.fallback_applications += 1
-            return True
-        return False

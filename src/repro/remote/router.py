@@ -40,7 +40,7 @@ the shard versions (monotone — any shard mutation moves it), and
 ``data_fingerprint`` is the tuple of per-shard fingerprints, which is
 what :class:`~repro.gateway.cache.GatewayCache` validates against.
 ``counters`` is a live merged view over every shard server (replicas
-included) that supports the usual ``snapshot``/``as_dict``/``-`` diffs.
+included).
 """
 
 from __future__ import annotations
@@ -97,9 +97,7 @@ class ShardBackend:
 class MergedServerCounters:
     """A live sum over every shard server's :class:`ServerCounters`.
 
-    Reads aggregate on access (the parts keep mutating underneath);
-    ``snapshot`` materialises a plain :class:`ServerCounters`, so the
-    usual ``(after - before).as_dict()`` reporting idiom keeps working.
+    Reads aggregate on access (the parts keep mutating underneath).
     """
 
     def __init__(self, parts: Sequence[ServerCounters]) -> None:
@@ -114,35 +112,8 @@ class MergedServerCounters:
         return sum(part.postings_processed for part in self._parts)
 
     @property
-    def short_documents(self) -> int:
-        return sum(part.short_documents for part in self._parts)
-
-    @property
     def long_documents(self) -> int:
         return sum(part.long_documents for part in self._parts)
-
-    def reset(self) -> None:
-        for part in self._parts:
-            part.reset()
-
-    def snapshot(self) -> ServerCounters:
-        return ServerCounters(
-            searches=self.searches,
-            postings_processed=self.postings_processed,
-            short_documents=self.short_documents,
-            long_documents=self.long_documents,
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return self.snapshot().as_dict()
-
-    def __sub__(self, earlier: Any) -> ServerCounters:
-        if isinstance(earlier, MergedServerCounters):
-            earlier = earlier.snapshot()
-        return self.snapshot() - earlier
-
-    def __repr__(self) -> str:
-        return f"MergedServerCounters({self.as_dict()})"
 
 
 #: One scatter job: a backend plus the operation to run on a transport.
@@ -379,7 +350,6 @@ class ShardedTextTransport:
         return {
             "shards": self.shard_count,
             "replicas_per_shard": self.replica_count,
-            "scheme": self.corpus.scheme,
             "failovers": self.failovers,
             "totals": self.stats.as_dict(),
             "per_shard": [
@@ -412,7 +382,7 @@ class ShardedTextTransport:
         return (
             f"ShardedTextTransport({self.shard_count} shards x "
             f"{1 + self.replica_count} servers, {profile}, "
-            f"scheme={self.corpus.scheme}, failovers={self.failovers})"
+            f"failovers={self.failovers})"
         )
 
     # ------------------------------------------------------------------
@@ -503,14 +473,12 @@ def build_sharded_transport(
     shards: int,
     *,
     replicas: int = 0,
-    scheme: str = "hash",
     profile: Union[str, Any] = "wan",
     seed: int = 0,
     time_scale: float = 1.0,
     retry: Optional[RetryPolicy] = None,
     breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
     pool_size: int = 1,
-    batch_frame_size: int = 4,
     batch_limit: Optional[int] = None,
     term_limit: Optional[int] = None,
     engine_mode: Optional[str] = None,
@@ -535,7 +503,7 @@ def build_sharded_transport(
         # Shards inherit the source server's engine so the deployment
         # change never swaps evaluation kernels underneath the caller.
         engine_mode = source.engine_mode
-    corpus = partition_store(store, shards, scheme=scheme)
+    corpus = partition_store(store, shards)
     if ranked:
         # Vector shards must score with *global* collection statistics
         # (idf, document norms) so per-shard rankings merge into exactly
@@ -562,7 +530,6 @@ def build_sharded_transport(
                     retry=retry,
                     breaker=breaker_factory() if breaker_factory else None,
                     pool_size=pool_size,
-                    batch_frame_size=batch_frame_size,
                     batch_limit=batch_limit,
                 )
             )

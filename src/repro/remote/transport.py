@@ -14,7 +14,7 @@ On top of the bare wire it layers the resilience machinery:
 - every call runs under a :class:`~repro.remote.resilience.RetryPolicy`
   (exponential backoff, optional per-call deadline) and is gated by a
   :class:`~repro.remote.resilience.CircuitBreaker`;
-- batched operations are split into frames of ``batch_frame_size``
+- batched operations are split into frames of ``BATCH_FRAME_SIZE``
   queries and dispatched over a bounded thread pool (``pool_size``
   workers), so frame latency overlaps; a failed frame is retried alone —
   frames that already succeeded are never resent;
@@ -76,8 +76,10 @@ __all__ = [
     "TransportStats",
     "RenderedSearch",
     "RemoteTextTransport",
-    "install_transport",
 ]
+
+#: Queries (or docids) per frame of a batched operation.
+BATCH_FRAME_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -131,17 +133,6 @@ class RenderedSearch:
         self.payload = render_payload({"query": node_to_wire(query)})
 
 
-def install_transport(client: Any, transport: "RemoteTextTransport") -> "RemoteTextTransport":
-    """Point a metered client's foreign calls at a remote transport.
-
-    After this, every ``client`` operation travels the transport's
-    channel; the client automatically drains the transport's retry waste
-    into ``ledger.seconds_retried`` and its events into the call trace.
-    """
-    client.server = transport
-    return transport
-
-
 class RemoteTextTransport:
     """The text-server API spoken over a frame channel with resilience."""
 
@@ -156,7 +147,6 @@ class RemoteTextTransport:
         retry: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         pool_size: int = 1,
-        batch_frame_size: int = 4,
         batch_limit: Optional[int] = None,
     ) -> None:
         if channel is None:
@@ -178,8 +168,6 @@ class RemoteTextTransport:
             )
         if pool_size < 1:
             raise GatewayError("pool_size must be at least 1")
-        if batch_frame_size < 1:
-            raise GatewayError("batch_frame_size must be at least 1")
         self._server = server
         self.channel = channel
         self.retry = retry if retry is not None else RetryPolicy()
@@ -189,7 +177,6 @@ class RemoteTextTransport:
             else CircuitBreaker(failure_threshold=8, recovery_time=0.25)
         )
         self.pool_size = pool_size
-        self.batch_frame_size = batch_frame_size
         self._batch_limit = batch_limit
         self.stats = TransportStats()
         self._time_scale = getattr(channel, "time_scale", 1.0)
@@ -303,7 +290,7 @@ class RemoteTextTransport:
             for query in queries
         ]
         check_batch(len(parsed), self.batch_limit)
-        frames = self._frame_split(parsed, self.batch_frame_size)
+        frames = self._frame_split(parsed)
 
         def run(frame: List[SearchNode], position: int) -> List[ResultSet]:
             payload = self._call(
@@ -326,7 +313,7 @@ class RemoteTextTransport:
         wanted = list(docids)
         if not wanted:
             return []
-        frames = self._frame_split(wanted, self.batch_frame_size)
+        frames = self._frame_split(wanted)
 
         def run(frame: List[str], position: int) -> List[Document]:
             payload = self._call(
@@ -394,8 +381,11 @@ class RemoteTextTransport:
     # internals
     # ------------------------------------------------------------------
     @staticmethod
-    def _frame_split(items: List[Any], size: int) -> List[List[Any]]:
-        return [items[start : start + size] for start in range(0, len(items), size)]
+    def _frame_split(items: List[Any]) -> List[List[Any]]:
+        return [
+            items[start : start + BATCH_FRAME_SIZE]
+            for start in range(0, len(items), BATCH_FRAME_SIZE)
+        ]
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._lock:

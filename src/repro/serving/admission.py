@@ -85,17 +85,6 @@ class AdmissionQueue:
         with self._condition:
             return sum(self._inflight.values())
 
-    def retry_after_estimate(self) -> float:
-        """Expected seconds until a queue slot frees up.
-
-        Backlog drains at roughly ``workers / avg service time`` per
-        second; the estimate is one full-drain of the current backlog.
-        Deliberately rough — its job is to spread retries out, not to
-        promise a slot.
-        """
-        with self._condition:
-            return self._retry_after_locked()
-
     def _retry_after_locked(self) -> float:
         if not self._service_times:
             return DEFAULT_RETRY_AFTER

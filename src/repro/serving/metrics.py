@@ -91,10 +91,6 @@ class ServiceMetrics:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def latency_samples(self) -> List[float]:
-        with self._lock:
-            return list(self._latencies)
-
     def snapshot(
         self,
         queue_depth: int = 0,

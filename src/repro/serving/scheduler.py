@@ -115,10 +115,6 @@ class StrideScheduler:
         self._flush_solo()
         self._passes[tenant] += self._strides[tenant]
 
-    def pass_of(self, tenant: str) -> float:
-        self._flush_solo()
-        return self._passes[tenant]
-
     def __contains__(self, tenant: str) -> bool:
         return tenant in self._strides
 

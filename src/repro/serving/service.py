@@ -32,7 +32,10 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
+from repro.core.adaptive import execute_adaptively
+from repro.core.inputs import build_cost_inputs
 from repro.core.joinmethods import JoinContext, JoinMethod, TupleSubstitution
+from repro.core.query import TextJoinQuery
 from repro.errors import AdmissionRejected, ServingError
 from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
@@ -71,10 +74,6 @@ class QueryTicket:
         self.latency = time.monotonic() - self.submitted_at
         self._done.set()
 
-    @property
-    def done(self) -> bool:
-        return self._done.is_set()
-
     def result(self, timeout: Optional[float] = None) -> Any:
         """Block for the outcome; re-raises the query's failure, if any."""
         if not self._done.wait(timeout):
@@ -86,7 +85,7 @@ class QueryTicket:
         return self.execution
 
     def __repr__(self) -> str:
-        state = "done" if self.done else "pending"
+        state = "done" if self._done.is_set() else "pending"
         return f"QueryTicket({self.tenant!r}, {state})"
 
 
@@ -122,7 +121,6 @@ class QueryService:
         vector_backend: Optional[Any] = None,
         vector_constants: Optional[CostConstants] = None,
         share_window: Optional[float] = None,
-        max_share_batch: int = 16,
     ) -> None:
         if not tenants:
             raise ServingError("a service needs at least one tenant")
@@ -166,7 +164,6 @@ class QueryService:
         if share_window is not None:
             self.sharing = InflightSearchTable(
                 window_seconds=share_window,
-                max_batch=max_share_batch,
                 inflight_hint=lambda: self._queue.inflight,
             )
         self._tenants: Dict[str, TenantState] = {}
@@ -325,33 +322,21 @@ class QueryService:
 
         Returns the finished execution, or None when the query is not a
         single text join (multi-join queries keep the default path).
-        Statistics gathering passes through the tenant's own client but
-        (exact mode) charges nothing; execution charges the tenant's
-        ledger, and the feedback store only ever *reads* the spend
-        afterwards (DESIGN invariant 14).
+        The plan runs under :func:`~repro.core.adaptive.
+        execute_adaptively`'s Section 5 fetch guard.  Statistics
+        gathering passes through the tenant's own client but charges
+        nothing; execution (aborted attempts included) charges the
+        tenant's ledger, and the feedback store only ever *reads* the
+        spend afterwards (DESIGN invariant 14).
         """
-        from repro.core.feedback import corpus_fingerprint, query_key
-        from repro.core.inputs import build_cost_inputs
-        from repro.core.optimizer.single_join import choose_join_method
-        from repro.core.query import TextJoinQuery
-
         if not isinstance(query, TextJoinQuery):
             return None
         inputs = build_cost_inputs(
             query, context, registry=self.statistics, feedback=self.feedback
         )
-        choice = choose_join_method(query, inputs)
-        ledger = context.client.ledger
-        before = ledger.snapshot()
-        execution = choice.method.execute(query, context)
-        self.feedback.observe_method(
-            corpus_fingerprint(self.backend),
-            query_key(query),
-            choice.name,
-            estimated_cost=choice.estimate.total,
-            actual_cost=ledger.diff(before).total,
-        )
-        return execution
+        return execute_adaptively(
+            query, context, inputs, feedback=self.feedback
+        ).execution
 
     # ------------------------------------------------------------------
     # observability

@@ -7,7 +7,7 @@ field-scoped word/phrase/truncation/proximity terms with ``and``/``or``/
 limit ``M``.
 """
 
-from repro.textsys.analysis import is_phrase, normalize_term, tokenize, tokenize_with_positions
+from repro.textsys.analysis import normalize_term, tokenize, tokenize_with_positions
 from repro.textsys.diskindex import (
     BlockCache,
     DiskIndexBuilder,
@@ -69,7 +69,6 @@ from repro.textsys.source import (
     TextSource,
 )
 from repro.textsys.sharding import (
-    PARTITION_SCHEMES,
     ShardedCorpus,
     build_shard_servers,
     hash_shard_of,
@@ -127,7 +126,6 @@ __all__ = [
     "tokenize",
     "tokenize_with_positions",
     "normalize_term",
-    "is_phrase",
     "save_store",
     "load_store",
     "VectorSpaceEngine",
@@ -137,7 +135,6 @@ __all__ = [
     "VectorStatistics",
     "VectorTextServer",
     "build_vector_shard_servers",
-    "PARTITION_SCHEMES",
     "ShardedCorpus",
     "partition_store",
     "build_shard_servers",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-__all__ = ["tokenize", "tokenize_with_positions", "normalize_term", "is_phrase"]
+__all__ = ["tokenize", "tokenize_with_positions", "normalize_term"]
 
 _TOKEN_PATTERN = re.compile(r"[0-9a-z]+(?:'[0-9a-z]+)*")
 
@@ -39,8 +39,3 @@ def normalize_term(term: str) -> str:
     """Normalize a single query term the same way indexing does."""
     tokens = tokenize(term)
     return tokens[0] if tokens else ""
-
-
-def is_phrase(term: str) -> bool:
-    """True if a query term tokenizes to more than one word."""
-    return len(tokenize(term)) > 1

@@ -55,7 +55,6 @@ from repro.errors import TextSystemError
 __all__ = [
     "write_uvarint",
     "read_uvarint",
-    "encode_uvarint",
     "encode_group",
     "decode_group",
     "encode_block",
@@ -98,13 +97,6 @@ def write_uvarint(out: bytearray, value: int) -> None:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
-
-
-def encode_uvarint(value: int) -> bytes:
-    """One unsigned LEB128 varint as bytes."""
-    out = bytearray()
-    write_uvarint(out, value)
-    return bytes(out)
 
 
 def read_uvarint(buf, pos: int) -> Tuple[int, int]:

@@ -258,7 +258,6 @@ class DiskInvertedIndex:
         self._vocabularies: Dict[str, List[str]] = {}
         self._load_dictionaries()
         self._docid_list: List[str] = self._load_docids()
-        self._docid_ordinals: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -456,14 +455,6 @@ class DiskInvertedIndex:
     def docid_of(self, ordinal: int) -> str:
         return self._docid_list[ordinal]
 
-    def ordinal_of(self, docid: str) -> int:
-        if self._docid_ordinals is None:
-            self._docid_ordinals = {
-                docid: ordinal
-                for ordinal, docid in enumerate(self._docid_list)
-            }
-        return self._docid_ordinals[docid]
-
     def all_docs(self) -> PostingList:
         """A posting list naming every document (for NOT complements)."""
         return PostingList._from_sorted(array("q", range(self.document_count)))
@@ -535,10 +526,6 @@ class DiskInvertedIndex:
     def vocabulary(self, field: str) -> List[str]:
         self._check_field(field)
         return list(self._vocabularies[field])
-
-    def vocabulary_size(self, field: str) -> int:
-        self._check_field(field)
-        return len(self._vocabularies[field])
 
     # ------------------------------------------------------------------
     # observability

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError, UnknownDocumentError, UnknownFieldError
 
@@ -117,10 +117,6 @@ class DocumentStore:
 
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents.values())
-
-    def docids(self) -> List[str]:
-        """All docids in insertion order."""
-        return list(self._documents)
 
     def has_field(self, name: str) -> bool:
         return name in self.field_names

@@ -51,7 +51,6 @@ class InvertedIndex:
         self.pages_read = 0
         #: The store version this index reflects (cache-invalidation stamp).
         self.version = 0
-        self._doc_ordinals: Dict[str, int] = {}
         self._ordinal_docids: List[str] = []
         # field -> term -> sorted list of Posting
         self._lists: Dict[str, Dict[str, PostingList]] = {
@@ -72,7 +71,6 @@ class InvertedIndex:
         }
         for document in self.store:
             ordinal = len(self._ordinal_docids)
-            self._doc_ordinals[document.docid] = ordinal
             self._ordinal_docids.append(document.docid)
             for field in self.store.field_names:
                 text = document.field(field)
@@ -102,7 +100,6 @@ class InvertedIndex:
         ``version`` follows the store's mutation counter so downstream
         caches (see :mod:`repro.gateway.cache`) drop stale entries.
         """
-        self._doc_ordinals.clear()
         self._ordinal_docids.clear()
         self._lists = {field: {} for field in self.store.field_names}
         self._vocabulary = {field: [] for field in self.store.field_names}
@@ -119,10 +116,6 @@ class InvertedIndex:
     def docid_of(self, ordinal: int) -> str:
         """The external docid for an internal ordinal."""
         return self._ordinal_docids[ordinal]
-
-    def ordinal_of(self, docid: str) -> int:
-        """The internal ordinal for an external docid."""
-        return self._doc_ordinals[docid]
 
     def all_docs(self) -> PostingList:
         """A posting list naming every document (for NOT complements)."""
@@ -209,33 +202,3 @@ class InvertedIndex:
         """The sorted vocabulary of one field."""
         self._check_field(field)
         return list(self._vocabulary[field])
-
-    def vocabulary_size(self, field: str) -> int:
-        self._check_field(field)
-        return len(self._vocabulary[field])
-
-    # ------------------------------------------------------------------
-    # observability (API parity with the disk-backed index)
-    # ------------------------------------------------------------------
-    def io_stats(self) -> Dict[str, object]:
-        """Physical I/O counters — all zero for the in-memory index.
-
-        The disk-backed twin (:class:`~repro.textsys.diskindex.
-        DiskInvertedIndex`) meters real block fetches and cache traffic
-        here; exposing the same shape on both lets reporting code treat
-        the engines uniformly.  Charged ``pages_read`` is tracked
-        separately on both and stays bit-identical (DESIGN inv. 13).
-        """
-        return {
-            "block_fetches": 0,
-            "bytes_read": 0,
-            "blocks_decoded": 0,
-            "cache": {
-                "hits": 0,
-                "misses": 0,
-                "evictions": 0,
-                "cached_bytes": 0,
-                "entries": 0,
-                "hit_rate": 0.0,
-            },
-        }

@@ -40,17 +40,12 @@ from repro.textsys.result import ResultSet
 from repro.textsys.server import DEFAULT_TERM_LIMIT, BooleanTextServer
 
 __all__ = [
-    "PARTITION_SCHEMES",
     "hash_shard_of",
     "ShardedCorpus",
     "partition_store",
     "build_shard_servers",
     "merge_scored_results",
 ]
-
-#: The supported document→shard assignment schemes.
-PARTITION_SCHEMES = ("hash", "round_robin")
-
 
 def hash_shard_of(docid: str, shard_count: int) -> int:
     """The stable hash-partition shard for one docid.
@@ -75,7 +70,6 @@ class ShardedCorpus:
     stores: List[DocumentStore]
     assignments: Dict[str, int]
     global_order: Dict[str, int]
-    scheme: str
 
     @property
     def shard_count(self) -> int:
@@ -176,23 +170,16 @@ def merge_scored_results(
     )
 
 
-def partition_store(
-    store: DocumentStore, shards: int, scheme: str = "hash"
-) -> ShardedCorpus:
+def partition_store(store: DocumentStore, shards: int) -> ShardedCorpus:
     """Split ``store`` into ``shards`` disjoint stores.
 
-    ``hash`` assigns by a stable digest of the docid (placement survives
-    corpus growth); ``round_robin`` deals documents out in insertion
-    order (perfectly balanced for a static corpus).  Within every shard,
-    documents keep their relative source order, so each shard server's
-    result ordering is a subsequence of the global one.
+    Each document's shard is :func:`hash_shard_of` of its docid, so
+    placement survives corpus growth.  Within every shard, documents keep their
+    relative source order, so each shard server's result ordering is a
+    subsequence of the global one.
     """
     if shards < 1:
         raise TextSystemError("a sharded corpus needs at least one shard")
-    if scheme not in PARTITION_SCHEMES:
-        raise TextSystemError(
-            f"unknown partition scheme {scheme!r}; known: {list(PARTITION_SCHEMES)}"
-        )
     stores = [
         DocumentStore(store.field_names, short_fields=store.short_fields)
         for _ in range(shards)
@@ -200,10 +187,7 @@ def partition_store(
     assignments: Dict[str, int] = {}
     global_order: Dict[str, int] = {}
     for ordinal, document in enumerate(store):
-        if scheme == "hash":
-            shard = hash_shard_of(document.docid, shards)
-        else:
-            shard = ordinal % shards
+        shard = hash_shard_of(document.docid, shards)
         # Re-add as a fresh Document so shard stores never alias the
         # source's mutable field mappings.
         stores[shard].add(Document(document.docid, dict(document.fields)))
@@ -214,7 +198,6 @@ def partition_store(
         stores=stores,
         assignments=assignments,
         global_order=global_order,
-        scheme=scheme,
     )
 
 

@@ -126,10 +126,10 @@ def check_batch(size: int, batch_limit: Optional[int]) -> None:
 
 @dataclass
 class ServerCounters:
-    """Cumulative usage counters, reset with :meth:`reset`.
+    """Cumulative usage counters.
 
     Safe to update from concurrent serving workers: the per-operation
-    record methods (and ``reset``/``snapshot``) hold an internal lock,
+    record methods (and ``snapshot``) hold an internal lock,
     so counts never lose increments when many tenants share one
     in-process server.
     """
@@ -153,13 +153,6 @@ class ServerCounters:
         """Account one long-form retrieval atomically."""
         with self._lock:
             self.long_documents += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.searches = 0
-            self.postings_processed = 0
-            self.short_documents = 0
-            self.long_documents = 0
 
     def snapshot(self) -> "ServerCounters":
         with self._lock:

@@ -179,11 +179,6 @@ class VectorSpaceEngine:
                 norm_squared += weight * weight
             self._norms[docid] = math.sqrt(norm_squared)
 
-    @property
-    def document_count(self) -> int:
-        """``N`` as used for idf (global when statistics are injected)."""
-        return self._document_count
-
     def document_frequency(self, term: str) -> int:
         """How many *local* documents contain ``term`` (postings length)."""
         return len(self._term_documents.get(term, ()))
@@ -239,11 +234,6 @@ class VectorSpaceEngine:
         if dot == 0.0 or document_norm == 0.0:
             return 0.0
         return dot / (document_norm * query_norm)
-
-    def score(self, docid: str, terms: Sequence[str]) -> float:
-        """Cosine similarity between a document and a bag of query terms."""
-        weights, query_norm = self._query_vector(terms)
-        return self._score_against(docid, weights, query_norm)
 
     def counted_search(
         self,
@@ -303,12 +293,3 @@ class VectorSpaceEngine:
         term can appear — this is where Boolean monotonicity dies.
         """
         return self.counted_search(terms, top_k, threshold).scored
-
-    def result_docids(
-        self,
-        terms: Sequence[str],
-        top_k: Optional[int] = 10,
-        threshold: float = 0.0,
-    ) -> List[str]:
-        """Just the docids of :meth:`search`."""
-        return [entry.docid for entry in self.search(terms, top_k, threshold)]

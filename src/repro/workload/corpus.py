@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.textsys.documents import Document, DocumentStore
@@ -117,28 +117,6 @@ class PlantReport:
     pool_size: int
     matched_values: Tuple[str, ...]
     documents_per_value: Dict[str, Tuple[int, ...]] = field(hash=False, default_factory=dict)
-
-    @property
-    def selectivity(self) -> float:
-        """Exact planted selectivity ``s`` of the pool."""
-        if self.pool_size == 0:
-            return 0.0
-        return len(self.matched_values) / self.pool_size
-
-    @property
-    def fanout(self) -> float:
-        """Exact planted (unconditional) fanout ``f`` of the pool."""
-        if self.pool_size == 0:
-            return 0.0
-        total = sum(len(docs) for docs in self.documents_per_value.values())
-        return total / self.pool_size
-
-    def matched_documents(self) -> Set[int]:
-        """All document indexes touched by this planting."""
-        out: Set[int] = set()
-        for docs in self.documents_per_value.values():
-            out.update(docs)
-        return out
 
 
 class SyntheticCorpus:

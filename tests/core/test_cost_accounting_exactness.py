@@ -15,6 +15,7 @@ metered executions on the canonical scenario.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -61,7 +62,7 @@ class TestSjExactness:
         assert execution.cost.searches == predicted
 
     def test_batch_formula(self, scenario):
-        query = scenario.q1(long_form=False).with_shape(ResultShape.DOCIDS)
+        query = replace(scenario.q1(long_form=False), shape=ResultShape.DOCIDS)
         inputs = build_cost_inputs(query, scenario.context())
         n_k = inputs.distinct(query.join_columns)
         capacity = inputs.term_limit - inputs.selection.term_count

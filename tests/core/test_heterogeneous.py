@@ -154,16 +154,13 @@ class TestExecution:
             scenario.boolean_context(),
             scenario.vector_context(),
         )
-        boolean_total = scenario.registry.ledger(scenario.boolean_name).total
-        vector_total = scenario.registry.ledger(scenario.vector_name).total
+        boolean_total = scenario.registry.binding(scenario.boolean_name).ledger.total
+        vector_total = scenario.registry.binding(scenario.vector_name).ledger.total
         assert boolean_total == pytest.approx(
             execution.boolean_execution.cost.total
         )
         assert vector_total == pytest.approx(
             execution.vector_execution.cost.total
-        )
-        assert execution.simulated_seconds == pytest.approx(
-            boolean_total + vector_total
         )
         assert scenario.registry.total() == pytest.approx(
             boolean_total + vector_total

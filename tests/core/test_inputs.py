@@ -103,20 +103,6 @@ class TestBuildCostInputs:
             "student.name", "author"
         )
 
-    def test_sampled_mode_charges_client(self, tiny_context):
-        import random
-
-        build_cost_inputs(
-            q4_query(),
-            tiny_context,
-            exact=False,
-            sample_size=2,
-            rng=random.Random(0),
-        )
-        # 2 samples per predicate x 2 predicates, and nothing unmetered.
-        assert tiny_context.client.ledger.searches == 4
-        assert tiny_context.client.server.counters.searches == 4
-
     def test_environment_parameters(self, tiny_context):
         inputs = build_cost_inputs(q4_query(), tiny_context)
         assert inputs.document_count == 4

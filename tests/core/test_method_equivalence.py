@@ -9,6 +9,7 @@
 """
 
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -116,7 +117,7 @@ def test_all_pair_methods_agree(seed):
 def test_docid_shapes_agree(seed):
     """SJ's batched docids equal the docids of TS's join results."""
     catalog, server, query = random_world(seed)
-    docid_query = query.with_shape(ResultShape.DOCIDS)
+    docid_query = replace(query, shape=ResultShape.DOCIDS, long_form=False)
     sj_keys = (
         SemiJoin()
         .execute(docid_query, fresh_context(catalog, server))
@@ -136,7 +137,7 @@ def test_tuple_shapes_agree_and_probe_is_sound(seed):
     """Invariant 2: the exact probe semi-join equals TS's tuple set, and
     any partial probe reducer yields a superset (never prunes a joiner)."""
     catalog, server, query = random_world(seed)
-    tuple_query = query.with_shape(ResultShape.TUPLES)
+    tuple_query = replace(query, shape=ResultShape.TUPLES, long_form=False)
     exact = (
         ProbeSemiJoin()
         .execute(tuple_query, fresh_context(catalog, server))
@@ -163,7 +164,7 @@ def test_semijoin_batching_invariant_under_any_term_limit(seed, term_limit):
     """Invariant 3: batching across searches never changes the docid set."""
     catalog, server, query = random_world(seed)
     tight_server = BooleanTextServer(server.store, term_limit=term_limit)
-    docid_query = query.with_shape(ResultShape.DOCIDS)
+    docid_query = replace(query, shape=ResultShape.DOCIDS, long_form=False)
     batched = (
         SemiJoin()
         .execute(docid_query, fresh_context(catalog, tight_server))

@@ -11,6 +11,8 @@ a field hidden from the short form.)
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.inputs import build_cost_inputs
@@ -65,6 +67,12 @@ def check_method_space(text_query, make_context):
     return enumerated
 
 
+def _shaped(query, shape):
+    return replace(
+        query, shape=shape, long_form=query.long_form and shape is ResultShape.PAIRS
+    )
+
+
 @pytest.mark.parametrize("batch_limit", [None, 50])
 @pytest.mark.parametrize("shape", list(ResultShape), ids=lambda s: s.value)
 @pytest.mark.parametrize("query_id", ["q1", "q2", "q3", "q4"])
@@ -72,7 +80,7 @@ def test_enumerated_iff_applies_on_the_default_scenario(
     scenario, query_id, shape, batch_limit
 ):
     enumerated = check_method_space(
-        scenario.query(query_id).with_shape(shape),
+        _shaped(scenario.query(query_id), shape),
         lambda: scenario_context(scenario, batch_limit),
     )
     assert ("B+TS" in enumerated) == (batch_limit is not None)

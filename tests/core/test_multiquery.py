@@ -98,9 +98,5 @@ class TestViews:
         assert query.local_predicate("student") is predicate
         assert query.local_predicate("faculty") is None
 
-    def test_covers(self):
-        assert join_pred().covers(frozenset({"student", "faculty", "x"}))
-        assert not join_pred().covers(frozenset({"student"}))
-
     def test_text_source_constant_distinct(self):
         assert TEXT_SOURCE not in q5().relations

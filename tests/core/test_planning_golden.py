@@ -13,6 +13,7 @@ to re-record and say so.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -49,7 +50,12 @@ def compute_golden() -> dict:
     for batch_limit in BATCH_LIMITS:
         for qid in QUERIES:
             for shape in SHAPES:
-                query = scenario.query(qid).with_shape(shape)
+                query = scenario.query(qid)
+                query = replace(
+                    query,
+                    shape=shape,
+                    long_form=query.long_form and shape is ResultShape.PAIRS,
+                )
                 inputs = build_cost_inputs(
                     query, scenario_context(scenario, batch_limit)
                 )

@@ -82,11 +82,6 @@ class TestViews:
         with pytest.raises(PlanError):
             query().predicates_on(["nope"])
 
-    def test_with_shape_drops_long_form(self):
-        q = query(long_form=True)
-        assert q.with_shape(ResultShape.DOCIDS).long_form is False
-        assert q.with_shape(ResultShape.PAIRS).long_form is True
-
 
 class TestJoinedPair:
     def test_key(self):

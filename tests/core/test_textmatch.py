@@ -75,9 +75,6 @@ class TestExpression:
         assert expression.evaluate(Row(schema, [1850, "may 1993"])) is False
         assert expression.evaluate(Row(schema, [None, "may 1993"])) is None
 
-    def test_referenced_columns(self):
-        assert EXPR.referenced_columns() == {"s.value", "d.field"}
-
 
 words = st.sampled_from(["alpha", "beta", "gamma", "delta"])
 texts = st.lists(words, max_size=8).map(" ".join)

@@ -173,15 +173,6 @@ class TestInvalidation:
         assert cache.validate(3) is False  # ANY change invalidates
         assert "x" not in cache.search
 
-    def test_clear_forgets_the_version(self):
-        cache = GatewayCache()
-        cache.validate(1)
-        cache.search.put("x", object())
-        cache.clear()
-        assert len(cache.search) == 0
-        assert cache.validate(2) is True  # no invalidation recorded
-        assert cache.search.stats.invalidations == 0
-
 
 class TestBatchCaching:
     def _client(self, tiny_server, **kwargs):

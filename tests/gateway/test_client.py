@@ -74,13 +74,6 @@ class TestCallLog:
         assert first.result_size == 2
         assert second.result_size == 0
 
-    def test_reset_accounting(self, tiny_server):
-        client = TextClient(tiny_server, tracer=CallTracer())
-        client.search("TI='belief'")
-        client.reset_accounting()
-        assert client.ledger.total == 0
-        assert client.tracer.spans == []
-
 
 class TestStatisticsReads:
     """The two planning reads: forwarded, settled, traced, never charged."""

@@ -75,8 +75,8 @@ class TestAttribution:
     def test_client_charges_only_its_own_ledger(self, registry):
         client = registry.client("vsim")
         client.search(VectorQuery("abstract", ("belief",), top_k=2))
-        assert registry.ledger("vsim").total > 0.0
-        assert registry.ledger("mercury").total == 0.0
+        assert registry.binding("vsim").ledger.total > 0.0
+        assert registry.binding("mercury").ledger.total == 0.0
 
     def test_total_is_the_sum_of_per_backend_totals(self, registry):
         registry.client("mercury").search("TI='belief'")
@@ -97,7 +97,7 @@ class TestAttribution:
         assert report["vsim"]["searches"] == 1
         assert report["mercury"]["searches"] == 0
         assert report["vsim"]["total"] == pytest.approx(
-            registry.ledger("vsim").total
+            registry.binding("vsim").ledger.total
         )
 
     def test_reset_clears_every_ledger(self, registry):
@@ -108,7 +108,7 @@ class TestAttribution:
         assert registry.total() > 0.0
         registry.reset()
         assert registry.total() == 0.0
-        assert registry.ledger("mercury").report()["searches"] == 0
+        assert registry.binding("mercury").ledger.report()["searches"] == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -148,7 +148,7 @@ class TestAttribution:
         )
         for name in ("mercury", "vsim"):
             assert (
-                interleaved.ledger(name).report()
-                == replayed.ledger(name).report()
+                interleaved.binding(name).ledger.report()
+                == replayed.binding(name).ledger.report()
             )
         assert interleaved.total() == pytest.approx(replayed.total())

@@ -19,11 +19,7 @@ fan_lists = st.lists(st.floats(0.01, 100.0), min_size=1, max_size=6)
 class TestPredicateStatistics:
     def test_valid_construction(self):
         stats = PredicateStatistics("c", "f", selectivity=0.2, fanout=1.0)
-        assert stats.conditional_fanout == pytest.approx(5.0)
-
-    def test_zero_selectivity_conditional(self):
-        stats = PredicateStatistics("c", "f", selectivity=0.0, fanout=0.0)
-        assert stats.conditional_fanout == 0.0
+        assert (stats.selectivity, stats.fanout) == (0.2, 1.0)
 
     def test_selectivity_range_checked(self):
         with pytest.raises(StatisticsError):

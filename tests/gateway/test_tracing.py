@@ -94,12 +94,6 @@ class TestClientIntegration:
         assert (search.kind, search.expression) == ("search", "title='belief'")
         assert (retrieve.kind, retrieve.expression) == ("retrieve", "d1")
 
-    def test_reset_accounting_clears_the_trace(self, tiny_server):
-        client = TextClient(tiny_server, tracer=CallTracer())
-        client.search("TI='belief'")
-        client.reset_accounting()
-        assert client.tracer.spans == []
-
 
 class TestExecutionPhases:
     def test_ts_join_spans_carry_the_ts_phase(self, scenario):

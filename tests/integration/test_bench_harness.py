@@ -10,7 +10,7 @@ from repro.bench.harness import (
     make_inputs,
     run_methods,
 )
-from repro.bench.reporting import ascii_table, format_value, series_block
+from repro.bench.reporting import ascii_table, format_value
 
 
 class TestReporting:
@@ -31,11 +31,6 @@ class TestReporting:
     def test_ascii_table_title(self):
         table = ascii_table(["x"], [[1]], title="My Title")
         assert table.splitlines()[0] == "My Title"
-
-    def test_series_block(self):
-        block = series_block("TS", [1, 2], [10.0, 20.0], "s1", "cost")
-        assert "TS" in block
-        assert "10.00" in block
 
 
 class TestKendallTau:

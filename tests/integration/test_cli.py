@@ -46,3 +46,23 @@ class TestCliSlowPaths:
         assert cli_main(["ranking"]) == 0
         out = capsys.readouterr().out
         assert "does the cost model predict the ranking?" in out
+
+
+def test_transport_report_lists_breaker_transitions(capsys):
+    """The report carries transitions as ``"old -> new"`` strings."""
+    from repro.cli import _print_transport_report
+    from repro.remote import FAULT_PROFILES
+
+    class Transport:
+        profile = FAULT_PROFILES["degraded"]
+
+        def report(self):
+            return {
+                "calls": 2,
+                "channel": {"frames_sent": 2},
+                "breaker_transitions": ["closed -> open", "open -> half-open"],
+            }
+
+    _print_transport_report(Transport())
+    out = capsys.readouterr().out
+    assert "breaker transitions: closed -> open, open -> half-open" in out

@@ -7,12 +7,10 @@ recursion: ``self.left.evaluate(row)`` reads
 ``reference_evaluate(self.left, row)``.  Every column is looked up by
 name on every row (``row[name]``).  The differential tests
 in ``test_expressions.py`` require the bound path to agree with them on
-every input: same value, or the same exception class.  The per-class
-``referenced_columns`` bodies, folded into one base-class walk over the
-operands at the same time, are kept here too.
+every input: same value, or the same exception class.
 """
 
-from typing import Any, FrozenSet, Optional
+from typing import Any, Optional
 
 from repro.core.textmatch import TextMatch, value_matches_field
 from repro.errors import TypeMismatchError
@@ -113,25 +111,3 @@ def reference_evaluate(expression, row: Row) -> Any:
     """The by-name value of ``expression`` on ``row``."""
     return _EVALUATORS[type(expression)](expression, row)
 
-
-def _operand_columns(*operands) -> FrozenSet[str]:
-    refs: FrozenSet[str] = frozenset()
-    for operand in operands:
-        refs |= reference_referenced_columns(operand)
-    return refs
-
-
-_REFERENCED = {
-    ColumnRef: lambda self: frozenset({self.name}),
-    Literal: lambda self: frozenset(),
-    Comparison: lambda self: _operand_columns(self.left, self.right),
-    And: lambda self: _operand_columns(*self.operands),
-    Or: lambda self: _operand_columns(*self.operands),
-    Not: lambda self: _operand_columns(self.operand),
-    TextMatch: lambda self: _operand_columns(self.value, self.field_text),
-}
-
-
-def reference_referenced_columns(expression) -> FrozenSet[str]:
-    """The column names ``expression`` reads, class by class."""
-    return _REFERENCED[type(expression)](expression)

@@ -23,10 +23,7 @@ from repro.relational.row import Row
 from repro.relational.schema import Schema
 from repro.relational.types import DataType
 from tests.core.reference_local_join import ReferenceNestedLoopJoin, reference_filter
-from tests.relational.reference_expressions import (
-    reference_evaluate,
-    reference_referenced_columns,
-)
+from tests.relational.reference_expressions import reference_evaluate
 
 SCHEMA = Schema.of(
     ("s.name", DataType.VARCHAR),
@@ -116,15 +113,6 @@ class TestConjuncts:
         assert conjoin([]) is None
         assert conjoin([a]) is a
         assert conjuncts(conjoin([a, b])) == [a, b]
-
-    def test_referenced_columns(self):
-        expr = And(
-            (
-                Comparison("=", ColumnRef("s.name"), Literal("x")),
-                Comparison(">", ColumnRef("s.year"), Literal(1)),
-            )
-        )
-        assert expr.referenced_columns() == {"s.name", "s.year"}
 
 
 @given(
@@ -230,7 +218,6 @@ def test_bound_expression_equals_by_name_evaluate(expression, diff_row):
     bound = expression.bind(diff_row.schema)  # binding itself never raises
     assert outcome(bound, diff_row.values) == expected
     assert outcome(expression.evaluate, diff_row) == expected
-    assert expression.referenced_columns() == reference_referenced_columns(expression)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,4 @@
-"""Retry policy, circuit breaker, and the degradation knob."""
+"""Retry policy and circuit breaker."""
 
 import threading
 
@@ -10,7 +10,6 @@ from repro.remote.resilience import (
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
     CircuitBreaker,
-    DegradationPolicy,
     RetryPolicy,
 )
 
@@ -126,8 +125,6 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(GatewayError):
             CircuitBreaker(recovery_time=-1.0)
-        with pytest.raises(GatewayError):
-            CircuitBreaker(half_open_probes=0)
 
     # -- half-open probe gating under concurrency (regression) ---------
 
@@ -212,50 +209,3 @@ class TestCircuitBreaker:
             thread.join(timeout=5.0)
         assert admitted.count(True) == 1
 
-
-class TestDegradationPolicy:
-    def test_healthy_by_default(self):
-        policy = DegradationPolicy()
-        assert not policy.degraded
-        assert policy.effective_term_limit(70) == 70
-        assert not policy.should_fallback("SJ")
-        assert policy.shrink_applications == 0
-
-    def test_forced_degradation_shrinks_with_floor(self):
-        policy = DegradationPolicy(
-            force_degraded=True, shrink_factor=0.5, min_term_budget=8
-        )
-        assert policy.effective_term_limit(70) == 35
-        assert policy.effective_term_limit(10) == 8  # floored
-        assert policy.shrink_applications == 2
-
-    def test_fallback_applies_to_sj_family_only(self):
-        policy = DegradationPolicy(force_degraded=True)
-        assert policy.should_fallback("SJ")
-        assert policy.should_fallback("SJ+RTP")
-        assert not policy.should_fallback("TS")
-        assert not policy.should_fallback("P+TS")
-        assert policy.fallback_applications == 2
-
-    def test_fallback_can_be_disabled(self):
-        policy = DegradationPolicy(force_degraded=True, fallback_to_ts=False)
-        assert not policy.should_fallback("SJ")
-
-    def test_breaker_state_drives_degradation(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, recovery_time=5.0, clock=clock)
-        policy = DegradationPolicy(breaker=breaker)
-        assert not policy.degraded
-        breaker.record_failure()
-        assert policy.degraded  # open
-        clock.advance(5.0)
-        assert policy.degraded  # half-open still counts as degraded
-        assert breaker.allow()
-        breaker.record_success()
-        assert not policy.degraded
-
-    def test_validation(self):
-        with pytest.raises(GatewayError):
-            DegradationPolicy(shrink_factor=0.0)
-        with pytest.raises(GatewayError):
-            DegradationPolicy(min_term_budget=0)

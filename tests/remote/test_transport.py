@@ -22,7 +22,7 @@ from repro.remote.channel import (
 from repro.remote.codec import encode_response
 from repro.remote.endpoint import TextServerEndpoint
 from repro.remote.resilience import CircuitBreaker, RetryPolicy
-from repro.remote.transport import RemoteTextTransport, install_transport
+from repro.remote.transport import BATCH_FRAME_SIZE, RemoteTextTransport
 from repro.textsys.parser import parse_search
 from repro.textsys.server import BooleanTextServer
 
@@ -55,9 +55,10 @@ class TestApiEquivalence:
         assert transport.search(node).docids == tiny_server.search(node).docids
 
     def test_retrieve_and_retrieve_many(self, tiny_server):
-        transport = make_transport(tiny_server, batch_frame_size=2)
+        transport = make_transport(tiny_server)
         assert transport.retrieve("d1").fields == tiny_server.retrieve("d1").fields
         docids = ["d1", "d2", "d3", "d4", "d1"]
+        assert len(docids) > BATCH_FRAME_SIZE
         remote = transport.retrieve_many(docids)
         assert [d.docid for d in remote] == docids  # order preserved across frames
 
@@ -93,17 +94,17 @@ class TestApiEquivalence:
             transport.search_batch([BELIEF] * 4)
 
     def test_search_batch_matches_serial_searches(self, tiny_server):
-        transport = make_transport(tiny_server, batch_frame_size=2)
-        queries = [BELIEF, UPDATE, SYSTEMS]
+        transport = make_transport(tiny_server)
+        queries = [BELIEF, UPDATE, SYSTEMS, UPDATE, BELIEF]  # two frames
         batched = transport.search_batch(queries)
         assert [r.docids for r in batched] == [
             tiny_server.search(q).docids for q in queries
         ]
 
     def test_pooled_dispatch_matches_serial(self, tiny_server):
-        queries = [BELIEF, UPDATE, SYSTEMS, BELIEF, UPDATE, SYSTEMS]
-        serial = make_transport(tiny_server, batch_frame_size=1)
-        pooled = make_transport(tiny_server, batch_frame_size=1, pool_size=4)
+        queries = [BELIEF, UPDATE, SYSTEMS] * 3  # three frames
+        serial = make_transport(tiny_server)
+        pooled = make_transport(tiny_server, pool_size=4)
         try:
             assert [r.docids for r in pooled.search_batch(queries)] == [
                 r.docids for r in serial.search_batch(queries)
@@ -138,11 +139,11 @@ class FailNthOnce(LoopbackChannel):
 
 class TestRetries:
     def test_only_the_failed_frame_is_resent(self, tiny_server):
-        # The capability record (one meta frame) travels first; then 6
-        # queries in frames of 2 -> frames 2..4; frame 3 fails once.
+        # The capability record (one meta frame) travels first; then 12
+        # queries in frames of 4 -> frames 2..4; frame 3 fails once.
         channel = FailNthOnce(TextServerEndpoint(tiny_server).handle, fail_at=3)
-        transport = RemoteTextTransport(channel=channel, batch_frame_size=2)
-        queries = [BELIEF, UPDATE, SYSTEMS, BELIEF, UPDATE, SYSTEMS]
+        transport = RemoteTextTransport(channel=channel)
+        queries = [BELIEF, UPDATE, SYSTEMS] * 4
         results = transport.search_batch(queries)
         assert [r.docids for r in results] == [
             tiny_server.search(q).docids for q in queries
@@ -341,10 +342,3 @@ class TestClientIntegration:
         local = method.execute(query, tiny_context)
         assert remote.result_keys() == local.result_keys() != set()
         assert remote.cost.total == local.cost.total
-
-    def test_install_transport(self, tiny_server):
-        client = TextClient(tiny_server)
-        transport = make_transport(tiny_server)
-        install_transport(client, transport)
-        assert client.server is transport
-        assert not client.search(BELIEF).is_empty

@@ -84,7 +84,7 @@ class TestSnapshotEdges:
         metrics = ServiceMetrics()
         for value in range(LATENCY_WINDOW + 100):
             metrics.on_completed(float(value))
-        samples = metrics.latency_samples()
+        samples = list(metrics._latencies)
         assert len(samples) == LATENCY_WINDOW
         assert min(samples) == 100.0  # the oldest 100 rolled out
 
@@ -130,4 +130,4 @@ class TestConcurrency:
         final = metrics.snapshot()
         assert final["submitted"] == THREADS * ITERATIONS
         assert final["completed"] + final["failed"] == THREADS * ITERATIONS
-        assert len(metrics.latency_samples()) == LATENCY_WINDOW
+        assert len(metrics._latencies) == LATENCY_WINDOW

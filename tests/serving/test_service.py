@@ -221,7 +221,7 @@ def test_weighted_fairness_under_contention(serving_scenario):
     # When the 2nd light query finishes, at least 5 heavy ones must have
     # (the 4:1 stride puts ~8 heavy dispatches in the first 10).
     tickets["light"][1].result(timeout=120)
-    heavy_done = sum(1 for t in tickets["heavy"] if t.done)
+    heavy_done = sum(1 for t in tickets["heavy"] if t.latency is not None)
     assert heavy_done >= 5
     service.stop(drain=True)
 
@@ -250,12 +250,12 @@ def test_feedback_planning_records_method_runs(serving_scenario):
     assert all(execution.cost.total > 0 for execution in executions)
     # Every planned query recorded one method run; repeated q1 runs
     # accumulate under the same (corpus, query, method) entry.
-    report = store.report().for_kind("method")
-    assert len(report) == 3
-    assert all(record.unit == "seconds" for record in report.records)
+    runs = [record for record in store.report().records if record.kind == "method"]
+    assert len(runs) == 3
+    assert all(record.unit == "seconds" for record in runs)
     # The spend the store observed is exactly what the tenant was
     # charged - recording reads the ledger, it never writes it.
-    observed = sum(record.actual for record in report.records)
+    observed = sum(record.actual for record in runs)
     assert service.ledger_totals()["alice"] == pytest.approx(observed)
 
 
@@ -292,7 +292,51 @@ def test_feedback_planning_matches_serial_charges(serving_scenario):
     # The served run paid for statistics gathering too; replaying with
     # the primed registry skips it, so compare the execution itself
     # against the store's recorded actual.
-    method_runs = store.report().for_kind("method")
+    method_runs = [r for r in store.report().records if r.kind == "method"]
     assert len(method_runs) == 1
-    assert execution.cost.total == method_runs.records[0].actual
+    assert execution.cost.total == method_runs[0].actual
     assert served_total >= execution.cost.total
+
+
+def test_feedback_planning_runs_under_the_fetch_guard(serving_scenario):
+    """Planned serving runs the Section 5 fetch guard: statistics that
+    under-state Q4's probe fanout make P+RTP the plan, its cap trips,
+    the abort is recorded, and the re-optimized plan answers with TS's
+    pairs.  The tenant pays exactly what a serial adaptive run pays,
+    the aborted attempt included."""
+    from repro.core.adaptive import execute_adaptively
+    from repro.core.feedback import FeedbackStore
+    from repro.core.inputs import build_cost_inputs
+    from repro.core.joinmethods import TupleSubstitution
+    from repro.gateway.statistics import PredicateStatistics, TextStatisticsRegistry
+
+    def understated():
+        registry = TextStatisticsRegistry()
+        registry.put(PredicateStatistics("student.advisor", "author", 0.01, 0.001))
+        registry.put(PredicateStatistics("student.name", "author", 0.9, 2.0e5))
+        return registry
+
+    store = FeedbackStore()
+    with QueryService(
+        serving_scenario,
+        [TenantSpec("alice")],
+        workers=1,
+        feedback=store,
+        statistics=understated(),
+    ) as service:
+        execution = service.submit("alice", "q4").result(timeout=60)
+
+    query = serving_scenario.q4()
+    expected = TupleSubstitution().execute(query, serving_scenario.context())
+    assert execution.result_keys() == expected.result_keys()
+    aborts = [record for record in store.report().records if record.kind == "abort"]
+    assert len(aborts) == 1
+    assert aborts[0].label.startswith("guard:P(advisor)")
+
+    context = serving_scenario.context()
+    inputs = build_cost_inputs(
+        query, context, registry=understated(), feedback=FeedbackStore()
+    )
+    replay = execute_adaptively(query, context, inputs, feedback=FeedbackStore())
+    assert replay.attempts[0].aborted
+    assert service.ledger_totals()["alice"] == replay.total_cost

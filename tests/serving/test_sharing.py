@@ -366,8 +366,6 @@ class TestSharedSearchExecutor:
     def test_rejects_bad_configuration(self):
         with pytest.raises(GatewayError):
             InflightSearchTable(window_seconds=-0.1)
-        with pytest.raises(GatewayError):
-            InflightSearchTable(max_batch=0)
 
 
 class _SearchOnce:

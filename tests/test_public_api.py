@@ -86,6 +86,47 @@ def test_relational_substrate_surface():
         assert not hasattr(module, name), name
 
 
+def test_unset_settings_are_gone():
+    """A value no entry point sets is a constant, not a parameter: the
+    22 settings only tests ever passed stay out of every signature."""
+    import dataclasses
+    import inspect
+
+    from repro import remote, textsys
+    from repro.core.adaptive import execute_adaptively
+    from repro.core.inputs import build_cost_inputs, predicate_statistics
+    from repro.core.joinmethods import JoinContext
+    from repro.gateway.inflight import InflightSearchTable
+    from repro.remote.resilience import CircuitBreaker
+    from repro.remote.router import build_sharded_transport
+    from repro.remote.transport import RemoteTextTransport
+    from repro.serving import QueryService
+    from repro.textsys.sharding import partition_store
+
+    gone = {
+        build_cost_inputs: {"exact", "sample_size", "rng"},
+        predicate_statistics: {"exact", "sample_size", "rng"},
+        execute_adaptively: {"reoptimize", "max_reoptimizations"},
+        partition_store: {"scheme"},
+        build_sharded_transport: {"scheme", "batch_frame_size"},
+        RemoteTextTransport: {"batch_frame_size"},
+        QueryService: {"max_share_batch"},
+        InflightSearchTable: {"max_batch"},
+        CircuitBreaker: {"half_open_probes"},
+    }
+    for function, names in gone.items():
+        parameters = set(inspect.signature(function).parameters)
+        assert not parameters & names, (function.__name__, parameters & names)
+    fields = {field.name for field in dataclasses.fields(JoinContext)}
+    assert "degradation" not in fields
+    for module, name in (
+        (remote, "DegradationPolicy"),
+        (remote, "install_transport"),
+        (textsys, "PARTITION_SCHEMES"),
+    ):
+        assert not hasattr(module, name), name
+
+
 def test_one_method_space_surface():
     """Vector strategies are rows of the one method-space table, ranked
     by the one enumerator into the one ``MethodChoice``."""

@@ -3,7 +3,6 @@
 from hypothesis import given, strategies as st
 
 from repro.textsys.analysis import (
-    is_phrase,
     normalize_term,
     tokenize,
     tokenize_with_positions,
@@ -45,12 +44,6 @@ class TestNormalizeTerm:
 
     def test_empty(self):
         assert normalize_term("???") == ""
-
-
-def test_is_phrase():
-    assert is_phrase("belief update")
-    assert not is_phrase("belief")
-    assert not is_phrase("")
 
 
 @given(st.text(max_size=80))

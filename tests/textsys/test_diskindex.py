@@ -29,7 +29,6 @@ from repro.textsys.diskindex.codec import (
     decode_group,
     encode_block,
     encode_group,
-    encode_uvarint,
     read_uvarint,
     write_uvarint,
 )
@@ -38,6 +37,13 @@ from repro.textsys.inverted_index import InvertedIndex
 
 U64_MAX = (1 << 64) - 1
 I64_MAX = (1 << 63) - 1
+
+
+def encode_uvarint(value):
+    """One varint as bytes, through the builder's writer."""
+    out = bytearray()
+    write_uvarint(out, value)
+    return bytes(out)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from repro.textsys.diskindex.codec import (
     decode_group,
     encode_block,
     encode_group,
-    encode_uvarint,
 )
 from repro.workload import iter_synthetic_documents
 
@@ -156,7 +155,7 @@ class TestBlockFaults:
         assert decode_block_positions(buf) == positions
         # The docid section ends where the header says; a prefix that
         # still holds all of it decodes docids, a shorter one must raise.
-        n_docs_len = len(encode_uvarint(len(docs)))
+        _, n_docs_len = codec.read_uvarint(buf, 0)
         doc_bytes_len = buf[n_docs_len]
         docs_end = n_docs_len + 1 + doc_bytes_len
         for length in range(len(buf)):

@@ -62,5 +62,4 @@ class TestDocumentStore:
         store = DocumentStore(["title"])
         for i in range(3):
             store.add_record(f"d{i}", title=str(i))
-        assert store.docids() == ["d0", "d1", "d2"]
         assert [d.docid for d in store] == ["d0", "d1", "d2"]

@@ -15,8 +15,8 @@ class TestRoundTrip:
         path = tmp_path / "store.jsonl"
         save_store(tiny_store, path)
         loaded = load_store(path)
-        assert loaded.docids() == tiny_store.docids()
-        for docid in tiny_store.docids():
+        assert [d.docid for d in loaded] == [d.docid for d in tiny_store]
+        for docid in [d.docid for d in tiny_store]:
             assert dict(loaded.get(docid).fields) == dict(
                 tiny_store.get(docid).fields
             )
@@ -56,8 +56,8 @@ class TestGzipAndHeader:
         # Really gzip on disk, not plain text with a misleading name.
         assert path.read_bytes()[:2] == b"\x1f\x8b"
         loaded = load_store(path)
-        assert loaded.docids() == tiny_store.docids()
-        for docid in tiny_store.docids():
+        assert [d.docid for d in loaded] == [d.docid for d in tiny_store]
+        for docid in [d.docid for d in tiny_store]:
             assert dict(loaded.get(docid).fields) == dict(
                 tiny_store.get(docid).fields
             )
@@ -95,7 +95,7 @@ class TestGzipAndHeader:
         loaded = load_store(
             path, progress=lambda n, total: calls.append((n, total))
         )
-        assert loaded.docids() == tiny_store.docids()
+        assert [d.docid for d in loaded] == [d.docid for d in tiny_store]
         assert calls == [(len(tiny_store), None)]
 
     def test_bad_count_rejected(self, tmp_path):

@@ -15,7 +15,6 @@ from repro.remote.router import build_sharded_transport
 from repro.textsys.documents import DocumentStore
 from repro.textsys.server import BooleanTextServer
 from repro.textsys.sharding import (
-    PARTITION_SCHEMES,
     build_shard_servers,
     hash_shard_of,
     partition_store,
@@ -46,10 +45,6 @@ class TestPartitioning:
         grown = partition_store(tiny_store, 4).assignments
         assert all(grown[docid] == shard for docid, shard in first.items())
 
-    def test_round_robin_deals_in_insertion_order(self, tiny_store):
-        corpus = partition_store(tiny_store, 3, scheme="round_robin")
-        assert corpus.assignments == {"d1": 0, "d2": 1, "d3": 2, "d4": 0}
-
     def test_relative_order_preserved_within_shards(self, tiny_store):
         corpus = partition_store(tiny_store, 2)
         for store in corpus.stores:
@@ -66,9 +61,6 @@ class TestPartitioning:
     def test_validation(self, tiny_store):
         with pytest.raises(TextSystemError):
             partition_store(tiny_store, 0)
-        with pytest.raises(TextSystemError):
-            partition_store(tiny_store, 2, scheme="range")
-        assert set(PARTITION_SCHEMES) == {"hash", "round_robin"}
 
     def test_shard_of_unknown_docid_raises(self, tiny_store):
         corpus = partition_store(tiny_store, 2)
@@ -82,12 +74,11 @@ class TestMerge:
             [server.search(expression) for server in servers]
         )
 
-    @pytest.mark.parametrize("scheme", PARTITION_SCHEMES)
     @pytest.mark.parametrize("expression", ["TI='belief'", "TI='systems'"])
     def test_merge_restores_single_server_answer(
-        self, tiny_store, tiny_server, scheme, expression
+        self, tiny_store, tiny_server, expression
     ):
-        corpus = partition_store(tiny_store, 3, scheme=scheme)
+        corpus = partition_store(tiny_store, 3)
         servers = build_shard_servers(corpus)
         merged = self._merged_search(corpus, servers, expression)
         local = tiny_server.search(expression)

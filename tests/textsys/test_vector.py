@@ -5,6 +5,7 @@ import pytest
 from repro.errors import TextSystemError, UnknownFieldError
 from repro.textsys.documents import DocumentStore
 from repro.textsys.vector import VectorSpaceEngine
+from tests.textsys.vector_reads import ranked_docids, score_of
 
 
 @pytest.fixture
@@ -41,12 +42,12 @@ class TestRanking:
         assert engine.search(["xylophone"]) == []
 
     def test_score_of_unrelated_document_is_zero(self, engine):
-        assert engine.score("rare", ["database"]) == 0.0
+        assert score_of(engine, "rare", ["database"]) == 0.0
 
     def test_idf_favors_rare_terms(self, engine):
         """'zeppelin' (2 docs) outweighs 'database' (3 docs) in 'mixed'."""
-        assert engine.score("mixed", ["zeppelin"]) > engine.score(
-            "mixed", ["database"]
+        assert score_of(engine, "mixed", ["zeppelin"]) > score_of(
+            engine, "mixed", ["database"]
         )
 
     def test_validation(self, engine):
@@ -63,8 +64,8 @@ class TestSection8NegativeResult:
 
     def test_adding_a_term_can_add_answers(self, engine):
         """'Adding predicates in a query … may result in more answers.'"""
-        narrow = set(engine.result_docids(["zeppelin"]))
-        wide = set(engine.result_docids(["zeppelin", "design"]))
+        narrow = set(ranked_docids(engine, ["zeppelin"]))
+        wide = set(ranked_docids(engine, ["zeppelin", "design"]))
         added = wide - narrow
         assert added, "the wider query must surface new documents"
         assert "common1" in added  # matches only the added term
@@ -75,8 +76,8 @@ class TestSection8NegativeResult:
         => Q(t) unsat) is simply false here."""
         probe_terms = ["xylophone"]  # matches nothing at all
         full_terms = ["xylophone", "database"]
-        assert engine.result_docids(probe_terms) == []
-        assert engine.result_docids(full_terms) != []
+        assert ranked_docids(engine, probe_terms) == []
+        assert ranked_docids(engine, full_terms) != []
 
     def test_boolean_model_is_monotone_for_contrast(self, engine):
         """The same construction on the Boolean server: adding a conjunct

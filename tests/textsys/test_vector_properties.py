@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.textsys.analysis import tokenize
 from repro.textsys.documents import DocumentStore
 from repro.textsys.vector import VectorSpaceEngine
+from tests.textsys.vector_reads import ranked_docids, score_of
 
 WORDS = ["alpha", "bravo", "carol", "delta", "echo", "fox"]
 
@@ -140,7 +141,7 @@ class TestOracleEquivalence:
     def test_threshold_matches_oracle(self, documents, terms, threshold):
         engine = build_engine(documents)
         expected = {d for d, _ in oracle_ranking(documents, terms, threshold)}
-        actual = engine.result_docids(terms, top_k=None, threshold=threshold)
+        actual = ranked_docids(engine, terms, top_k=None, threshold=threshold)
         assert set(actual) == expected
         assert all(
             entry.score > threshold
@@ -221,8 +222,8 @@ class TestEdgeCasePins:
     def test_zero_norm_documents_never_rank_above_threshold(self):
         """An empty document can never score, even for an empty-ish query."""
         engine = build_engine([["alpha"], []])
-        assert engine.result_docids(["alpha"], top_k=None) == ["d000"]
-        assert engine.score("d001", ["alpha"]) == 0.0
+        assert ranked_docids(engine, ["alpha"], top_k=None) == ["d000"]
+        assert score_of(engine, "d001", ["alpha"]) == 0.0
 
     def test_negative_threshold_regression_includes_zero_score_documents(self):
         """Regression for the corpus-dump bug: candidates were drawn from
@@ -235,7 +236,7 @@ class TestEdgeCasePins:
         # All three documents — including 'bravo'-only and the empty one.
         assert set(docids) == {"d000", "d001", "d002"}
         # The posting-list shortcut would have returned just this one:
-        assert engine.result_docids(["alpha"], top_k=None) == ["d000"]
+        assert ranked_docids(engine, ["alpha"], top_k=None) == ["d000"]
 
     def test_ties_break_by_docid(self):
         documents = [["alpha"], ["alpha"], ["alpha"]]

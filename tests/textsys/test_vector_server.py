@@ -11,6 +11,7 @@ from repro.textsys.server import BooleanTextServer
 from repro.textsys.sharding import merge_scored_results, partition_store
 from repro.textsys.vector import VectorQuery, VectorSpaceEngine, VectorStatistics
 from repro.textsys.vectorserver import VectorTextServer, build_vector_shard_servers
+from tests.textsys.vector_reads import score_of
 
 
 @pytest.fixture
@@ -208,10 +209,10 @@ class TestShardingIdentity:
             shard_store, "abstract", statistics=statistics
         )
         global_engine = VectorSpaceEngine(store, "abstract")
-        assert shard_engine.score("d1", ["belief"]) == global_engine.score(
-            "d1", ["belief"]
+        assert score_of(shard_engine, "d1", ["belief"]) == score_of(
+            global_engine, "d1", ["belief"]
         )
         local_only = VectorSpaceEngine(shard_store, "abstract")
-        assert shard_engine.score("d1", ["belief"]) != local_only.score(
-            "d1", ["belief"]
+        assert score_of(shard_engine, "d1", ["belief"]) != score_of(
+            local_only, "d1", ["belief"]
         )

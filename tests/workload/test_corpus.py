@@ -36,8 +36,8 @@ class TestBackground:
     def test_deterministic_per_seed(self):
         a = SyntheticCorpus(50, seed=9).build_store()
         b = SyntheticCorpus(50, seed=9).build_store()
-        for docid in a.docids():
-            assert a.get(docid).fields == b.get(docid).fields
+        for document in a:
+            assert document.fields == b.get(document.docid).fields
 
     def test_invalid_document_count(self):
         with pytest.raises(WorkloadError):
@@ -51,8 +51,7 @@ class TestPlantPool:
         report = corpus.plant_pool(
             pool, "author", selectivity=0.5, conditional_fanout=3
         )
-        assert report.selectivity == pytest.approx(0.5)
-        assert report.fanout == pytest.approx(0.5 * 3)
+        assert len(report.matched_values) == 10  # half the pool of 20
         # Verify against the actual index.
         server = BooleanTextServer(corpus.build_store())
         stats = exact_predicate_statistics(TextClient(server), "c", "author", pool)
