@@ -46,13 +46,16 @@ from repro.textsys.parser import parse_search
 from repro.workload import iter_synthetic_documents
 
 #: The query mix: single terms, conjunctions steered by the rewriter
-#: onto the skip-driven galloping path, a disjunction, and a negation.
+#: onto the skip-driven galloping path, a disjunction, a negation, and
+#: an SJ-shaped selection AND OR-batch, whose selective conjunct the
+#: engine probes into each disjunct.
 QUERIES = [
     "TI='algorithm'",
     "AB='database' and AB='query'",
     "AB='retrieval' and AB='parallel' and AB='index'",
     "TI='system' or AB='cache'",
     "AB='protocol' and not TI='network'",
+    "TI='protocol' and (AB='database' or AB='query' or AB='retrieval')",
 ]
 
 #: Corpus size for the in-memory comparison (full size would defeat the

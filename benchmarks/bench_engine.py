@@ -2,8 +2,9 @@
 
 The acceptance benchmark for the evaluation kernels (DESIGN.md "Engine
 kernels"): on an AND/OR-heavy workload over a Zipfian corpus, the
-optimized engine (galloping intersections, heap k-way unions, rewriter
-ordering, memoized repeats) must beat the reference engine's linear
+optimized engine (galloping and set intersections, one set union per
+k-way OR, rewriter ordering, conjunctions that restrict each OR-ed list,
+memoized repeats) must beat the reference engine's linear
 pairwise merges by at least 3x wall clock — while the result docids,
 the priced ``CostLedger`` totals, and every ``ServerCounters`` field
 stay bit-identical.  The speedup must come from skipped *merge* work

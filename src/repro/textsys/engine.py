@@ -14,13 +14,17 @@ Two engine modes produce that result:
   fold pairwise, nothing is reordered or skipped.
 - ``optimized`` — the fast kernels: the expression is first normalized
   by :mod:`repro.textsys.rewriter` (flattened, duplicate-free,
-  conjuncts ordered by document frequency), intersections gallop on
-  skewed lists and stop once empty, OR/truncation fan-ins use one
-  k-way set union, and repeated subexpressions are evaluated
-  once.  Skipped or deduplicated subtrees still pay their charges
-  through a charge-only pass (list lengths via ``index.lookup``, no
-  merging), so ``postings_processed``, page reads, result docids, and
-  every downstream counter are bit-identical to ``reference``.
+  conjuncts ordered by document frequency), a conjunction folds into
+  one running result that *restricts* every later conjunct (an OR is
+  probed disjunct by disjunct when ``len(current) * k`` is at most its
+  charge-free directory estimate), intersections gallop on skewed lists
+  and stop once empty, OR/truncation fan-ins use one k-way set union,
+  and repeated subexpressions are evaluated once (only full results are
+  memoized, never restricted ones).  Every leaf still reaches a
+  retrieval — evaluated, or charge-only via ``index.lookup`` when
+  skipped or deduplicated — so ``postings_processed``, page reads,
+  result docids, and every downstream counter are bit-identical to
+  ``reference``.
 
 The process-wide default mode is ``optimized``; set the
 ``REPRO_ENGINE_MODE`` environment variable (or pass ``mode=``) to pin
@@ -60,7 +64,7 @@ from repro.textsys.query import (
     TermQuery,
     TruncatedQuery,
 )
-from repro.textsys.rewriter import rewrite
+from repro.textsys.rewriter import estimated_result_size, rewrite
 
 __all__ = [
     "ENGINE_MODES",
@@ -293,33 +297,65 @@ class _OptimizedEvaluator:
         raise TextSystemError(f"unknown search node {type(node).__name__}")
 
     def _compute_and(self, node: AndQuery) -> Tuple[PostingList, int]:
-        """Conjuncts come frequency-ordered (NOTs last) from the rewriter.
+        """Fold the frequency-ordered conjuncts into one running result.
 
-        The running intersection starts from the smallest list; once it
-        is empty the remaining conjuncts are charge-only.  A trailing
-        ``NOT x`` subtracts ``x`` directly from the running result — the
-        same documents as intersecting with the complement, without
-        materializing it (unless the NOTs come first, i.e. every
-        conjunct is negative).
+        The fold starts from the smallest list (the rewriter puts NOTs
+        last) and :meth:`_restrict` applies each later conjunct to it:
+
+        - once the result is empty, the conjunct is charge-only;
+        - ``NOT x`` subtracts ``x`` without materializing the complement;
+        - a nested ``AND`` threads the result through its own conjuncts;
+        - an ``OR`` of ``k`` disjuncts unions ``current AND d_i`` when
+          ``len(current) * k`` is at most the rewriter's charge-free
+          directory estimate of the OR (a cost rule, not a knob): a
+          selective conjunct probes each list, galloping through a disk
+          list's skip table, instead of merging them all.  Otherwise the
+          OR is unioned in full, then intersected;
+        - anything else is evaluated, then intersected.
+
+        A restricted result is never memoized; a memoized ``AND``/``OR``
+        intersects its cached full result instead.  Every leaf still
+        reaches :meth:`_eval` or :meth:`_charge`, so the charges cannot
+        move.
         """
         _check_operands(node)
+        current, processed = self._eval(node.operands[0])
+        current, restricted = self._fold(node.operands[1:], current)
+        return current, processed + restricted
+
+    def _fold(
+        self, operands: Tuple[SearchNode, ...], current: PostingList
+    ) -> Tuple[PostingList, int]:
         processed = 0
-        current: Optional[PostingList] = None
-        for operand in node.operands:
-            if current is not None and not len(current):
-                processed += self._charge(operand)
-                continue
-            if isinstance(operand, NotQuery) and current is not None:
-                postings, evaluated = self._eval(operand.operand)
-                current = difference(current, postings)
-            else:
-                postings, evaluated = self._eval(operand)
-                current = (
-                    postings if current is None else intersect(current, postings)
-                )
+        for operand in operands:
+            current, evaluated = self._restrict(operand, current)
             processed += evaluated
-        assert current is not None
         return current, processed
+
+    def _restrict(
+        self, node: SearchNode, current: PostingList
+    ) -> Tuple[PostingList, int]:
+        """``current AND node``, by the rules in :meth:`_compute_and`."""
+        if not len(current):
+            return current, self._charge(node)
+        if isinstance(node, NotQuery):
+            postings, processed = self._eval(node.operand)
+            return difference(current, postings), processed
+        if node not in self._memo:
+            if isinstance(node, AndQuery):
+                return self._fold(node.operands, current)
+            if isinstance(node, OrQuery) and len(current) * len(
+                node.operands
+            ) <= estimated_result_size(self.index, node):
+                restricted = [
+                    self._restrict(operand, current) for operand in node.operands
+                ]
+                return (
+                    union_many([postings for postings, _ in restricted]),
+                    sum(processed for _, processed in restricted),
+                )
+        postings, processed = self._eval(node)
+        return intersect(current, postings), processed
 
     def _charge(self, node: SearchNode) -> int:
         """Retrieve a subtree's lists (charging pages) without merging.

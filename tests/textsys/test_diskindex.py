@@ -33,7 +33,10 @@ from repro.textsys.diskindex.codec import (
     write_uvarint,
 )
 from repro.textsys.documents import Document, DocumentStore
+from repro.textsys.engine import evaluate
 from repro.textsys.inverted_index import InvertedIndex
+from repro.textsys.postings import GALLOP_RATIO
+from repro.textsys.query import AndQuery, OrQuery, TermQuery
 
 U64_MAX = (1 << 64) - 1
 I64_MAX = (1 << 63) - 1
@@ -452,3 +455,95 @@ class TestBuilderReader:
                     if doc in set(memory.lookup("body", "alpha").doc_array)
                 ]
                 assert list(large.gallop_into(probes)) == expected
+
+
+# ----------------------------------------------------------------------
+# a selective conjunct probed into each OR-ed disk list
+# ----------------------------------------------------------------------
+class TestRestrictedDisjunction:
+    """``AND(short, OR(long_1, ...))`` on a disk index: when the cost rule
+    restricts the OR, ``short`` gallops into each long list's skip table
+    and no long list is decoded whole; when it declines, the OR is
+    unioned in full.  Either way, answer and charges are the reference
+    engine's."""
+
+    @pytest.fixture()
+    def built(self, tmp_path):
+        store = DocumentStore(["title", "body"], short_fields=["title"])
+        for i in range(240):
+            words = [
+                word
+                for word, step in (
+                    ("alpha", 2),
+                    ("beta", 3),
+                    ("gamma", 5),
+                    ("delta", 4),
+                    ("epsilon", 6),
+                    ("zeta", 7),
+                )
+                if i % step == 0
+            ]
+            if i in (30, 91, 200):
+                words.append("rare")
+            if i % 5 < 2:
+                words.append("mid")
+            store.add(Document(f"d{i}", {"title": "", "body": " ".join(words)}))
+        path = tmp_path / "restrict.idx"
+        build_disk_index(store, store.field_names, path, block_size=4)
+        return path
+
+    @staticmethod
+    def run(path, query, mode):
+        """Charges of one evaluation on a fresh index with an unbounded
+        cache, plus the optimized engine's view: blocks decoded and the
+        lists each term lookup returned."""
+        with DiskInvertedIndex(path, cache_budget=None) as disk:
+            lookups = {}
+            lookup = disk.lookup
+
+            def recording_lookup(field, term):
+                lookups[term] = lookup(field, term)
+                return lookups[term]
+
+            disk.lookup = recording_lookup
+            outcome = evaluate(disk, query, mode=mode)
+            charges = (
+                list(outcome.postings.doc_array),
+                outcome.postings_processed,
+                disk.pages_read,
+            )
+            return charges, disk.io_stats()["blocks_decoded"], lookups
+
+    def test_short_conjunct_gallops_into_each_disjunct(self, built):
+        longs = ("alpha", "beta", "gamma")
+        query = AndQuery(
+            (
+                TermQuery("body", "rare"),
+                OrQuery(tuple(TermQuery("body", word) for word in longs)),
+            )
+        )
+        reference, _, _ = self.run(built, query, "reference")
+        optimized, blocks_decoded, lookups = self.run(built, query, "optimized")
+        assert optimized == reference
+        assert optimized[0] == [30, 200]
+        disjuncts = [lookups[word] for word in longs]
+        short = len(lookups["rare"])
+        assert all(len(postings) >= GALLOP_RATIO * short for postings in disjuncts)
+        disjunct_blocks = sum(-(-len(postings) // 4) for postings in disjuncts)
+        assert blocks_decoded < disjunct_blocks
+        assert all(postings._lazy_docs is None for postings in disjuncts)
+
+    def test_wide_running_result_unions_first(self, built):
+        # 96 running docs x 6 disjuncts exceeds the OR's estimate (capped
+        # at the 240 documents), so the cost rule declines.
+        words = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta")
+        query = AndQuery(
+            (
+                TermQuery("body", "mid"),
+                OrQuery(tuple(TermQuery("body", word) for word in words)),
+            )
+        )
+        reference, _, _ = self.run(built, query, "reference")
+        optimized, _, _ = self.run(built, query, "optimized")
+        assert optimized == reference
+        assert optimized[0]

@@ -190,3 +190,41 @@ class TestEngineModeResolution:
             resolve_engine_mode("turbo")
         with pytest.raises(TextSystemError):
             BooleanTextServer(DocumentStore(["title"]), engine_mode="turbo")
+
+
+def test_restricted_or_is_never_memoized():
+    """One OR subtree is evaluated twice in one query: first restricted
+    by a selective conjunct, then in full.  The full evaluation must not
+    reuse the restricted result, and both evaluations pay their lists."""
+    store = DocumentStore(["title", "body"], short_fields=["title"])
+    for i in range(60):
+        words = [
+            word
+            for word, step in (("alpha", 2), ("beta", 3), ("gamma", 5))
+            if i % step == 0
+        ]
+        if i in (6, 35):
+            words.append("delta")
+        if i % 4 == 0:
+            words.append("zeta")
+        store.add(Document(f"d{i}", {"title": "", "body": " ".join(words)}))
+    wide = OrQuery(
+        tuple(TermQuery("body", word) for word in ("alpha", "beta", "gamma"))
+    )
+    query = OrQuery(
+        (
+            AndQuery((TermQuery("body", "delta"), wide)),
+            AndQuery((wide, NotQuery(TermQuery("body", "zeta")))),
+        )
+    )
+    ref_docids, ref_processed, ref_pages = run_mode(store, query, "reference")
+    opt_docids, opt_processed, opt_pages = run_mode(store, query, "optimized")
+    full_union = {
+        f"d{i}"
+        for i in range(60)
+        if (i % 2 == 0 or i % 3 == 0 or i % 5 == 0) and i % 4
+    }
+    assert full_union <= set(opt_docids)
+    assert opt_docids == ref_docids
+    assert opt_processed == ref_processed
+    assert opt_pages == ref_pages
