@@ -161,7 +161,6 @@ def feedback_loop_report(
         "cheaper": run2["total_cost"] < run1["total_cost"],
         "results_identical": run1["pairs"] == run2["pairs"],
         "identity": identity,
-        "store_summary": store.summary(),
         "qerror": store.report(),
         "store": store,
     }

@@ -64,15 +64,19 @@ def _print_table2(scenario, feedback=None) -> None:
     if feedback is not None:
         # Every (predicted, measured) pair the experiment produced is
         # q-error evidence; recording it is read-only for the ledger.
+        from repro.core.feedback import EstimateRecord
+
         for query_id, runs in by_query.items():
             for run in runs:
                 if run.predicted_cost is not None:
-                    feedback.record_event(
-                        kind="method",
-                        label=f"{query_id}:{run.method}",
-                        estimated=run.predicted_cost,
-                        actual=run.measured_cost,
-                        unit="seconds",
+                    feedback.record(
+                        EstimateRecord(
+                            label=f"{query_id}:{run.method}",
+                            kind="method",
+                            estimated=run.predicted_cost,
+                            actual=run.measured_cost,
+                            unit="seconds",
+                        )
                     )
     for query_id, runs in by_query.items():
         for run in runs:
@@ -405,7 +409,7 @@ def _print_serving(
     if feedback is not None:
         summary = feedback.summary()
         print(
-            f"feedback: {summary['methods']} method keys, "
+            f"feedback: {summary['records']} estimate records, "
             f"{summary['predicates']} predicate observations recorded"
         )
 
@@ -633,8 +637,7 @@ def _qerror_main(argv: List[str]) -> int:
         summary = store.summary()
         print(
             f"{arguments.store}: {summary['predicates']} predicate "
-            f"observations, {summary['methods']} method keys, "
-            f"{summary['events']} events "
+            f"observations, {summary['records']} estimate records "
             f"(prior weight {summary['prior_weight']:g})"
         )
         print(store.report().render(top=arguments.top))

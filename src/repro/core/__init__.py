@@ -38,7 +38,7 @@ from repro.core.adaptive import (
     AdaptiveExecution,
     execute_adaptively,
 )
-from repro.core.executor import NodeActual, PlanExecution, execute_plan
+from repro.core.executor import PlanExecution, execute_plan
 from repro.core.feedback import (
     EstimateRecord,
     FeedbackStore,
@@ -145,7 +145,6 @@ __all__ = [
     "AdaptiveAttempt",
     "AdaptiveExecution",
     "execute_adaptively",
-    "NodeActual",
     "EstimateRecord",
     "FeedbackStore",
     "PredicateObservation",

@@ -28,21 +28,27 @@ re-fetches, and when *every* method aborts the raised
 instead of dropping them.
 
 With a :class:`~repro.core.feedback.FeedbackStore` attached, each
-abort's true cause is recorded as a q-error event, the observed
-statistics persist for future planning, and completed methods record
-predicted-vs-measured cost.  Feedback is read-only with respect to the
-ledger: it changes plan choice, never the accounting of the plan that
-runs (DESIGN invariant 14).
+abort's predicted vs fetched documents and each completed method's
+predicted vs charged seconds are journalled as
+:class:`~repro.core.feedback.EstimateRecord` s, and the observed
+statistics persist for future planning.  Feedback is read-only with
+respect to the ledger: it changes plan choice, never the accounting of
+the plan that runs (DESIGN invariant 14).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.core.costmodel import QueryCostInputs
-from repro.core.feedback import FeedbackStore, corpus_fingerprint, query_key
+from repro.core.feedback import (
+    EstimateRecord,
+    FeedbackStore,
+    corpus_fingerprint,
+    query_key,
+)
 from repro.core.joinmethods import JoinContext, MethodExecution, ProbeRtp
 from repro.core.optimizer.single_join import MethodChoice, enumerate_method_choices
 from repro.core.query import TextJoinQuery
@@ -122,7 +128,7 @@ def _armed(choice: MethodChoice, inputs: QueryCostInputs, safety_factor: float):
 
 
 def _inputs_with_observation(
-    inputs: QueryCostInputs, observed: Dict[str, object]
+    inputs: QueryCostInputs, observed: Dict[str, Any]
 ) -> QueryCostInputs:
     """Cost inputs with an aborted attempt's measurements injected.
 
@@ -135,60 +141,49 @@ def _inputs_with_observation(
     minimum, so assigning the joint to every probed column reproduces
     exactly what the guard measured.
     """
-    columns = tuple(observed.get("probe_columns", ()))
-    probes = int(observed.get("probes", 0))
-    if not columns or probes < 1:
-        return inputs
-    successes = int(observed.get("successes", 0))
-    fetched = float(observed.get("fetched", 0.0))
-    fields = observed.get("fields", {})
     stats = dict(inputs.predicate_stats)
-    for column in columns:
-        prior = stats.get(column)
-        if prior is None:
-            continue
-        stats[column] = observed_predicate_statistics(
-            column,
-            fields.get(column, prior.field),
-            probes,
-            successes,
-            fetched,
-        )
+    for column in observed["probe_columns"]:
+        if column in stats:
+            stats[column] = observed_predicate_statistics(
+                column,
+                observed["fields"][column],
+                observed["probes"],
+                observed["successes"],
+                observed["fetched"],
+            )
     return replace(inputs, predicate_stats=stats)
 
 
 def _record_abort(
-    feedback: Optional[FeedbackStore],
-    fingerprint: str,
+    feedback: FeedbackStore,
+    context: JoinContext,
     method_name: str,
     predicted_fetch: Optional[float],
-    observed: Optional[Dict[str, object]],
-    reason: str,
+    error: JoinMethodError,
 ) -> None:
-    if feedback is None or observed is None:
-        return
-    feedback.record_event(
-        kind="abort",
-        label=f"guard:{method_name}",
-        estimated=float(predicted_fetch or 0.0),
-        actual=float(observed.get("fetched", 0.0)),
-        unit="documents",
-        detail=reason,
+    """Journal the abort's predicted vs fetched documents, and fold the
+    guard's counts into each probed predicate's observation."""
+    observed: Dict[str, Any] = error.observed
+    fetched = float(observed["fetched"])
+    feedback.record(
+        EstimateRecord(
+            label=f"guard:{method_name}",
+            kind="abort",
+            estimated=float(predicted_fetch or 0.0),
+            actual=fetched,
+            unit="documents",
+            detail=str(error),
+        )
     )
-    columns = tuple(observed.get("probe_columns", ()))
-    fields = observed.get("fields", {})
-    probes = int(observed.get("probes", 0))
-    for column in columns:
-        field_name = fields.get(column)
-        if field_name is None:
-            continue
+    fingerprint = corpus_fingerprint(context.client)
+    for column in observed["probe_columns"]:
         feedback.observe_predicate(
             fingerprint,
             column,
-            field_name,
-            searches=probes,
-            matched=int(observed.get("successes", 0)),
-            documents=float(observed.get("fetched", 0.0)),
+            observed["fields"][column],
+            searches=observed["probes"],
+            matched=observed["successes"],
+            documents=fetched,
         )
 
 
@@ -217,7 +212,6 @@ def execute_adaptively(
     if not choices:
         raise OptimizationError(f"no applicable method for {query!r}")
 
-    fingerprint = corpus_fingerprint(context.client)
     attempts: List[AdaptiveAttempt] = []
     attempted_names = set()
     reoptimizations = 0
@@ -233,63 +227,50 @@ def execute_adaptively(
         attempted_names.add(choice.name)
         method, predicted_fetch = _armed(choice, current_inputs, safety_factor)
         attempt_before = ledger.snapshot()
+        abort: Optional[JoinMethodError] = None
         try:
             execution = method.execute(query, context)
         except JoinMethodError as error:
-            spent = ledger.diff(attempt_before).total
-            attempts.append(
-                AdaptiveAttempt(
-                    method=method.name,
-                    predicted_cost=choice.estimate.total,
-                    aborted=True,
-                    reason=str(error),
-                    spent_cost=spent,
-                )
-            )
-            observed = getattr(error, "observed", None)
-            _record_abort(
-                feedback,
-                fingerprint,
-                method.name,
-                predicted_fetch,
-                observed,
-                str(error),
-            )
-            if observed and reoptimizations < _MAX_REOPTIMIZATIONS:
-                current_inputs = _inputs_with_observation(
-                    current_inputs, observed
-                )
-                reoptimizations += 1
-                queue = [
-                    fresh
-                    for fresh in enumerate_method_choices(query, current_inputs)
-                    if fresh.name not in attempted_names
-                ]
-            continue
+            abort = error
         spent = ledger.diff(attempt_before).total
         attempts.append(
             AdaptiveAttempt(
                 method=method.name,
                 predicted_cost=choice.estimate.total,
-                aborted=False,
+                aborted=abort is not None,
+                reason=None if abort is None else str(abort),
                 spent_cost=spent,
             )
         )
-        if feedback is not None:
-            feedback.observe_method(
-                fingerprint,
-                query_key(query),
-                method.name,
-                estimated_cost=choice.estimate.total,
-                actual_cost=spent,
+        if abort is None:
+            if feedback is not None:
+                feedback.record(
+                    EstimateRecord(
+                        label=f"method:{method.name}",
+                        kind="method",
+                        estimated=choice.estimate.total,
+                        actual=spent,
+                        unit="seconds",
+                        detail=query_key(query),
+                    )
+                )
+            return AdaptiveExecution(
+                execution=execution,
+                attempts=attempts,
+                total_cost=ledger.diff(before).total,
+                reoptimizations=reoptimizations,
             )
-        total = ledger.diff(before).total
-        return AdaptiveExecution(
-            execution=execution,
-            attempts=attempts,
-            total_cost=total,
-            reoptimizations=reoptimizations,
-        )
+        observed = getattr(abort, "observed", None)
+        if feedback is not None and observed is not None:
+            _record_abort(feedback, context, method.name, predicted_fetch, abort)
+        if observed and reoptimizations < _MAX_REOPTIMIZATIONS:
+            current_inputs = _inputs_with_observation(current_inputs, observed)
+            reoptimizations += 1
+            queue = [
+                fresh
+                for fresh in enumerate_method_choices(query, current_inputs)
+                if fresh.name not in attempted_names
+            ]
 
     spent_total = ledger.diff(before).total
     error = OptimizationError(

@@ -26,6 +26,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.feedback import EstimateRecord
 from repro.core.joinmethods.base import (
     JoinContext,
     group_by_columns,
@@ -54,7 +55,6 @@ from repro.textsys.documents import Document
 from repro.textsys.query import and_all, data_term
 
 __all__ = [
-    "NodeActual",
     "PlanExecution",
     "execute_plan",
     "document_schema",
@@ -78,24 +78,6 @@ def document_row(
     values: List[Optional[str]] = [document.docid]
     values.extend(document.fields.get(name) for name in field_names)
     return Row(schema, values)
-
-
-@dataclass(frozen=True)
-class NodeActual:
-    """One plan node's estimate paired with what its subtree measured.
-
-    ``actual_cost`` is the ledger's charge delta across the node's whole
-    subtree execution — directly comparable to the estimator's
-    *cumulative* ``estimated_cost`` annotation.  Estimates are ``None``
-    when the plan ran unannotated.  Capture is read-only: snapshotting
-    and diffing the ledger charges nothing (DESIGN invariant 14).
-    """
-
-    label: str
-    estimated_rows: Optional[float]
-    actual_rows: float
-    estimated_cost: Optional[float]
-    actual_cost: float
 
 
 def _node_label(plan: PlanNode) -> str:
@@ -122,9 +104,11 @@ class PlanExecution:
     cost: CostLedger
     relational_comparisons: int
     wall_seconds: float
-    #: Per-node estimate/actual pairs in completion (bottom-up) order —
-    #: the raw material for q-error reports (core/feedback).
-    node_actuals: List[NodeActual] = field(default_factory=list)
+    #: Two records per plan node in completion (bottom-up) order: rows,
+    #: and the subtree's charged seconds against the estimator's
+    #: cumulative ``estimated_cost`` — the raw material for q-error
+    #: reports (core/feedback).
+    estimates: List[EstimateRecord] = field(default_factory=list)
 
     def total_cost(self, join_comparison_cost: float = 0.0001) -> float:
         """Simulated seconds: text-system cost plus priced relational work."""
@@ -150,7 +134,7 @@ class _PlanRunner:
         self.query = query
         self.context = context
         self.comparisons = 0
-        self.node_actuals: List[NodeActual] = []
+        self.estimates: List[EstimateRecord] = []
         self.field_names: Tuple[str, ...] = context.client.field_names
         self.short_fields = set(context.client.short_fields)
         self.doc_schema = document_schema(self.field_names, query.text_source)
@@ -159,16 +143,23 @@ class _PlanRunner:
     def run(self, plan: PlanNode) -> MaterializedInput:
         # Children run inside the dispatch, so the ledger delta spans the
         # whole subtree — the unit the estimator's cumulative
-        # ``estimated_cost`` describes.
+        # ``estimated_cost`` describes.  Capture is read-only: snapshotting
+        # and diffing the ledger charges nothing (DESIGN invariant 14).
         before = self.context.client.ledger.snapshot()
         result = self._dispatch(plan)
-        self.node_actuals.append(
-            NodeActual(
-                label=_node_label(plan),
-                estimated_rows=plan.estimated_rows,
-                actual_rows=float(len(result)),
-                estimated_cost=plan.estimated_cost,
-                actual_cost=self.context.client.ledger.diff(before).total,
+        label = _node_label(plan)
+        self.estimates.append(
+            EstimateRecord(
+                label, "node", plan.estimated_rows, float(len(result))
+            )
+        )
+        self.estimates.append(
+            EstimateRecord(
+                label,
+                "node",
+                plan.estimated_cost,
+                self.context.client.ledger.diff(before).total,
+                unit="seconds",
             )
         )
         return result
@@ -403,5 +394,5 @@ def execute_plan(
         cost=context.client.ledger.diff(ledger_before),
         relational_comparisons=runner.comparisons,
         wall_seconds=time.perf_counter() - started_at,
-        node_actuals=runner.node_actuals,
+        estimates=runner.estimates,
     )

@@ -6,18 +6,21 @@ points at runtime optimization as the remedy.  ``core/adaptive.py``
 implements the abort-and-fallback guard; this module makes the optimizer
 *learn* from the misestimate it just paid for:
 
-- :func:`qerror` and :class:`EstimateRecord` pair one estimated quantity
-  with its measured actual; :class:`QErrorReport` aggregates them
-  (max/median q-error, worst-offender ranking) over plan nodes, method
-  costs, and predicate statistics;
+- :class:`EstimateRecord` is the one shape of "estimated X, measured
+  Y": a plan node's rows or cost (``PlanExecution.estimates``), a
+  completed method's predicted vs charged seconds, a guard abort's
+  predicted vs fetched documents; :func:`qerror` grades one and
+  :class:`QErrorReport` aggregates them (max/median q-error,
+  worst-offender ranking);
 - :class:`PredicateObservation` accumulates the per-predicate evidence
   execution already produced — searches sent, searches that matched,
   documents returned — for free (the :class:`~repro.gateway.costs.
   CostLedger` charged them anyway);
-- :class:`FeedbackStore` persists those observations as JSON on disk,
-  keyed by corpus fingerprint plus canonical predicate/query key, and
-  blends them into future :class:`~repro.gateway.statistics.
-  PredicateStatistics` with a configurable prior-vs-observed weighting.
+- :class:`FeedbackStore` persists the observations (keyed by corpus
+  fingerprint, column and field) and a bounded journal of records as
+  JSON on disk, and blends the observations into future
+  :class:`~repro.gateway.statistics.PredicateStatistics` with a
+  configurable prior-vs-observed weighting.
 
 The charge-identity contract (DESIGN invariant 14): feedback reads the
 ledger and the result sets — it never issues a foreign call and never
@@ -28,11 +31,14 @@ not the accounting of the plan that runs.
 from __future__ import annotations
 
 import json
+import math
 import os
+import statistics
 import tempfile
 import threading
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from collections import deque
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any, Deque, Dict, List, Optional, Tuple, get_type_hints
 
 from repro.errors import FeedbackError
 from repro.gateway.sampling import observed_predicate_statistics
@@ -48,13 +54,12 @@ __all__ = [
     "query_key",
 ]
 
-#: Current on-disk payload format.
-STORE_FORMAT = 1
+#: Current on-disk payload format (format 1 still loads, rewritten).
+STORE_FORMAT = 2
 
-#: Rolling caps: the store keeps the most recent entries, never grows
-#: without bound across long-lived serving processes.
-MAX_EVENTS = 256
-MAX_METHOD_RUNS = 64
+#: Rolling cap on the record journal: the store keeps the most recent
+#: records, never grows without bound across long-lived serving processes.
+MAX_RECORDS = 256
 
 #: Default equivalent sample size granted to the prior estimate when
 #: blending (16 ~ one short sampling round: observations need comparable
@@ -81,8 +86,8 @@ def qerror(estimated: float, actual: float, floor: float = 1.0) -> float:
 class EstimateRecord:
     """One estimated quantity paired with its measured actual."""
 
-    label: str  # what was estimated ("node:TextJoin", "method:TS", ...)
-    kind: str  # "node" | "method" | "predicate" | "abort"
+    label: str  # what was estimated ("TextJoin[TS]", "method:TS", ...)
+    kind: str  # "node" | "method" | "abort"
     estimated: float
     actual: float
     unit: str = "rows"  # "rows" | "seconds" | "documents" | "fanout"
@@ -100,9 +105,6 @@ class QErrorReport:
 
     records: List[EstimateRecord] = field(default_factory=list)
 
-    def add(self, record: EstimateRecord) -> None:
-        self.records.append(record)
-
     def __len__(self) -> int:
         return len(self.records)
 
@@ -114,11 +116,7 @@ class QErrorReport:
     def median_q(self) -> float:
         if not self.records:
             return 1.0
-        ordered = sorted(record.q for record in self.records)
-        mid = len(ordered) // 2
-        if len(ordered) % 2:
-            return ordered[mid]
-        return (ordered[mid - 1] + ordered[mid]) / 2.0
+        return statistics.median(record.q for record in self.records)
 
     def worst(self, n: int = 5) -> List[EstimateRecord]:
         """The ``n`` records with the largest q-error, worst first."""
@@ -156,8 +154,10 @@ class QErrorReport:
 
 @dataclass(frozen=True)
 class PredicateObservation:
-    """Accumulated runtime evidence for one ``column in field`` predicate."""
+    """Accumulated runtime evidence for one ``column in field`` predicate,
+    observed against the corpus ``fingerprint`` names."""
 
+    fingerprint: str
     column: str
     field: str
     searches: int
@@ -209,27 +209,95 @@ def _require(condition: bool, message: str) -> None:
         raise FeedbackError(f"feedback store payload invalid: {message}")
 
 
-def _check_number(value: Any, message: str) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        message,
+def _finite(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
     )
-    number = float(value)
-    _require(number == number and abs(number) != float("inf"), message)
-    return number
+
+
+def _checked(cls: type, entry: Any) -> Any:
+    """One payload entry as a ``cls`` dataclass, every field type-checked.
+
+    The entry must name exactly ``cls``'s fields; text fields must be
+    strings and numeric fields finite numbers (booleans, NaN and infinity
+    are refused, integer fields refuse fractions).
+    """
+    name = cls.__name__
+    _require(isinstance(entry, dict), f"{name} entry must be an object")
+    types = get_type_hints(cls)
+    _require(set(entry) == set(types), f"{name} entry fields {sorted(entry)}")
+    values = {}
+    for key, kind in types.items():
+        value = entry[key]
+        if kind is str:
+            _require(isinstance(value, str), f"{name} {key} must be text")
+        else:
+            _require(
+                _finite(value) and (kind is float or value == int(value)),
+                f"{name} {key} must be a finite {kind.__name__}",
+            )
+            value = kind(value)
+        values[key] = value
+    return cls(**values)
+
+
+def _format1_as_format2(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """A format-1 payload rewritten as format 2.
+
+    Format 1 kept predicates in an object keyed by a joined string (the
+    key is dropped: each entry's own fields name it), method runs grouped
+    per query and method, and events beside them; runs and events become
+    estimate records, runs first, the order format 1 reported them in.
+    """
+    predicates = payload.get("predicates", {})
+    methods = payload.get("methods", {})
+    events = payload.get("events", [])
+    _require(
+        isinstance(predicates, dict)
+        and isinstance(methods, dict)
+        and isinstance(events, list),
+        "format 1 tables must be two objects and a list",
+    )
+    try:
+        records = [
+            {
+                "label": "method:" + entry["method"],
+                "kind": "method",
+                "estimated": run["estimated"],
+                "actual": run["actual"],
+                "unit": "seconds",
+                "detail": entry["query"],
+            }
+            for entry in methods.values()
+            for run in entry["runs"]
+        ]
+    except (KeyError, TypeError) as error:
+        raise FeedbackError(
+            f"feedback store payload invalid: format 1 method entry {error!r}"
+        ) from None
+    records.extend(events)
+    return {
+        "format": STORE_FORMAT,
+        "prior_weight": payload.get("prior_weight", DEFAULT_PRIOR_WEIGHT),
+        "predicates": list(predicates.values()),
+        "records": records,
+    }
 
 
 class FeedbackStore:
     """Persistent estimate-vs-actual feedback, blended into planning.
 
-    Three tables, all keyed under the observing corpus' fingerprint:
+    Two tables:
 
-    - *predicates*: accumulated :class:`PredicateObservation` per
-      ``column in field`` — the statistics the estimator blends;
-    - *methods*: per canonical query key and method, predicted vs
-      measured cost of completed executions;
-    - *events*: notable misestimates (guard aborts with their true
-      cause, re-optimizations), a bounded journal.
+    - *predicates*: one accumulated :class:`PredicateObservation` per
+      ``(fingerprint, column, field)`` — the statistics the estimator
+      blends, never applied to another corpus;
+    - *records*: a journal of the most recent :data:`MAX_RECORDS`
+      :class:`EstimateRecord` s — completed methods' predicted vs
+      measured cost, guard aborts with their true cause, experiment
+      runs — which :meth:`report` grades.
 
     Thread-safe: serving workers may record concurrently.  Persistence
     is explicit (:meth:`save`) and atomic (temp file + rename); loading
@@ -247,16 +315,8 @@ class FeedbackStore:
         self.path = path
         self.prior_weight = float(prior_weight)
         self._lock = threading.RLock()
-        self._predicates: Dict[str, Dict[str, Any]] = {}
-        self._methods: Dict[str, Dict[str, Any]] = {}
-        self._events: List[Dict[str, Any]] = []
-
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _predicate_key(fingerprint: str, column: str, field_name: str) -> str:
-        return f"{fingerprint}|{column}|{field_name}"
+        self._predicates: Dict[Tuple[str, str, str], PredicateObservation] = {}
+        self._records: Deque[EstimateRecord] = deque(maxlen=MAX_RECORDS)
 
     def observe_predicate(
         self,
@@ -270,95 +330,30 @@ class FeedbackStore:
         """Fold one run's evidence for ``column in field`` into the store."""
         if searches < 1:
             return
-        key = self._predicate_key(fingerprint, column, field_name)
+        key = (fingerprint, column, field_name)
         with self._lock:
-            entry = self._predicates.setdefault(
-                key,
-                {
-                    "fingerprint": fingerprint,
-                    "column": column,
-                    "field": field_name,
-                    "searches": 0,
-                    "matched": 0,
-                    "documents": 0.0,
-                },
+            seen = self._predicates.get(key) or PredicateObservation(
+                *key, searches=0, matched=0, documents=0.0
             )
-            entry["searches"] += int(searches)
-            entry["matched"] += min(max(int(matched), 0), int(searches))
-            entry["documents"] += max(float(documents), 0.0)
-
-    @staticmethod
-    def _entry_observation(entry: Dict[str, Any]) -> PredicateObservation:
-        return PredicateObservation(
-            column=entry["column"],
-            field=entry["field"],
-            searches=entry["searches"],
-            matched=entry["matched"],
-            documents=entry["documents"],
-        )
+            self._predicates[key] = replace(
+                seen,
+                searches=seen.searches + int(searches),
+                matched=seen.matched + min(max(int(matched), 0), int(searches)),
+                documents=seen.documents + max(float(documents), 0.0),
+            )
 
     def observation(
         self, fingerprint: str, column: str, field_name: str
     ) -> Optional[PredicateObservation]:
         """This corpus' accumulated observation, or None."""
-        key = self._predicate_key(fingerprint, column, field_name)
         with self._lock:
-            entry = self._predicates.get(key)
-        if entry is None or entry["fingerprint"] != fingerprint:
-            return None
-        return self._entry_observation(entry)
+            return self._predicates.get((fingerprint, column, field_name))
 
-    def observe_method(
-        self,
-        fingerprint: str,
-        key: str,
-        method: str,
-        estimated_cost: float,
-        actual_cost: float,
-    ) -> None:
-        """Record one completed method execution's predicted vs measured cost."""
-        entry_key = f"{fingerprint}|{key}|{method}"
+    def record(self, record: EstimateRecord) -> None:
+        """Journal one estimate-vs-actual pair (the oldest past the cap go)."""
         with self._lock:
-            entry = self._methods.setdefault(
-                entry_key,
-                {
-                    "fingerprint": fingerprint,
-                    "query": key,
-                    "method": method,
-                    "runs": [],
-                },
-            )
-            entry["runs"].append(
-                {"estimated": float(estimated_cost), "actual": float(actual_cost)}
-            )
-            del entry["runs"][:-MAX_METHOD_RUNS]
+            self._records.append(record)
 
-    def record_event(
-        self,
-        kind: str,
-        label: str,
-        estimated: float,
-        actual: float,
-        unit: str = "rows",
-        detail: str = "",
-    ) -> None:
-        """Append one misestimate event (guard abort, re-optimization)."""
-        with self._lock:
-            self._events.append(
-                {
-                    "kind": kind,
-                    "label": label,
-                    "estimated": float(estimated),
-                    "actual": float(actual),
-                    "unit": unit,
-                    "detail": detail,
-                }
-            )
-            del self._events[:-MAX_EVENTS]
-
-    # ------------------------------------------------------------------
-    # estimation
-    # ------------------------------------------------------------------
     def blend(
         self, prior: PredicateStatistics, fingerprint: str
     ) -> PredicateStatistics:
@@ -374,70 +369,28 @@ class FeedbackStore:
             prior, observation.statistics(), self.prior_weight
         )
 
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
     def report(self) -> QErrorReport:
-        """Everything graded: method runs and recorded misestimate events."""
-        report = QErrorReport()
+        """Every journalled record, graded."""
         with self._lock:
-            methods = [dict(entry) for entry in self._methods.values()]
-            events = [dict(event) for event in self._events]
-        for entry in methods:
-            for run in entry["runs"]:
-                report.add(
-                    EstimateRecord(
-                        label=f"method:{entry['method']}",
-                        kind="method",
-                        estimated=run["estimated"],
-                        actual=run["actual"],
-                        unit="seconds",
-                        detail=entry["query"],
-                    )
-                )
-        for event in events:
-            report.add(
-                EstimateRecord(
-                    label=event["label"],
-                    kind=event["kind"],
-                    estimated=event["estimated"],
-                    actual=event["actual"],
-                    unit=event["unit"],
-                    detail=event["detail"],
-                )
-            )
-        return report
+            return QErrorReport(list(self._records))
 
     def summary(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "predicates": len(self._predicates),
-                "methods": len(self._methods),
-                "events": len(self._events),
+                "records": len(self._records),
                 "prior_weight": self.prior_weight,
             }
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         with self._lock:
             return {
                 "format": STORE_FORMAT,
                 "prior_weight": self.prior_weight,
-                "predicates": {
-                    key: dict(entry) for key, entry in self._predicates.items()
-                },
-                "methods": {
-                    key: {
-                        "fingerprint": entry["fingerprint"],
-                        "query": entry["query"],
-                        "method": entry["method"],
-                        "runs": [dict(run) for run in entry["runs"]],
-                    }
-                    for key, entry in self._methods.items()
-                },
-                "events": [dict(event) for event in self._events],
+                "predicates": [
+                    asdict(entry) for entry in self._predicates.values()
+                ],
+                "records": [asdict(record) for record in self._records],
             }
 
     @classmethod
@@ -446,101 +399,36 @@ class FeedbackStore:
     ) -> "FeedbackStore":
         """Validate and hydrate a payload; corrupt input → FeedbackError."""
         _require(isinstance(payload, dict), "top level must be an object")
+        if payload.get("format") == 1:
+            payload = _format1_as_format2(payload)
         _require(
             payload.get("format") == STORE_FORMAT,
             f"unsupported format {payload.get('format')!r}",
         )
-        prior_weight = _check_number(
-            payload.get("prior_weight", DEFAULT_PRIOR_WEIGHT),
-            "prior_weight must be a finite number",
+        prior_weight = payload.get("prior_weight", DEFAULT_PRIOR_WEIGHT)
+        _require(
+            _finite(prior_weight) and prior_weight >= 0,
+            "prior_weight must be a finite non-negative number",
         )
-        _require(prior_weight >= 0, "prior_weight must be non-negative")
         store = cls(path=path, prior_weight=prior_weight)
-
-        predicates = payload.get("predicates", {})
-        _require(isinstance(predicates, dict), "predicates must be an object")
-        for key, entry in predicates.items():
-            _require(isinstance(entry, dict), f"predicate entry {key!r}")
-            for text_field in ("fingerprint", "column", "field"):
-                _require(
-                    isinstance(entry.get(text_field), str),
-                    f"predicate entry {key!r} field {text_field!r}",
-                )
-            searches = _check_number(
-                entry.get("searches"), f"predicate entry {key!r} searches"
-            )
-            matched = _check_number(
-                entry.get("matched"), f"predicate entry {key!r} matched"
-            )
-            documents = _check_number(
-                entry.get("documents"), f"predicate entry {key!r} documents"
-            )
+        predicates = payload.get("predicates", [])
+        records = payload.get("records", [])
+        _require(
+            isinstance(predicates, list) and isinstance(records, list),
+            "predicates and records must be lists",
+        )
+        for entry in predicates:
+            observation = _checked(PredicateObservation, entry)
+            key = (observation.fingerprint, observation.column, observation.field)
             _require(
-                searches >= 1 and 0 <= matched <= searches and documents >= 0,
-                f"predicate entry {key!r} counts out of range",
+                observation.searches >= 1
+                and 0 <= observation.matched <= observation.searches
+                and observation.documents >= 0,
+                f"predicate {key!r} counts out of range",
             )
-            store._predicates[key] = {
-                "fingerprint": entry["fingerprint"],
-                "column": entry["column"],
-                "field": entry["field"],
-                "searches": int(searches),
-                "matched": int(matched),
-                "documents": documents,
-            }
-
-        methods = payload.get("methods", {})
-        _require(isinstance(methods, dict), "methods must be an object")
-        for key, entry in methods.items():
-            _require(isinstance(entry, dict), f"method entry {key!r}")
-            for text_field in ("fingerprint", "query", "method"):
-                _require(
-                    isinstance(entry.get(text_field), str),
-                    f"method entry {key!r} field {text_field!r}",
-                )
-            runs = entry.get("runs")
-            _require(isinstance(runs, list), f"method entry {key!r} runs")
-            clean_runs = []
-            for run in runs:
-                _require(isinstance(run, dict), f"method entry {key!r} run")
-                clean_runs.append(
-                    {
-                        "estimated": _check_number(
-                            run.get("estimated"), f"method {key!r} estimated"
-                        ),
-                        "actual": _check_number(
-                            run.get("actual"), f"method {key!r} actual"
-                        ),
-                    }
-                )
-            store._methods[key] = {
-                "fingerprint": entry["fingerprint"],
-                "query": entry["query"],
-                "method": entry["method"],
-                "runs": clean_runs[-MAX_METHOD_RUNS:],
-            }
-
-        events = payload.get("events", [])
-        _require(isinstance(events, list), "events must be a list")
-        for event in events:
-            _require(isinstance(event, dict), "event must be an object")
-            for text_field in ("kind", "label", "unit", "detail"):
-                _require(
-                    isinstance(event.get(text_field), str),
-                    f"event field {text_field!r}",
-                )
-            store._events.append(
-                {
-                    "kind": event["kind"],
-                    "label": event["label"],
-                    "estimated": _check_number(
-                        event.get("estimated"), "event estimated"
-                    ),
-                    "actual": _check_number(event.get("actual"), "event actual"),
-                    "unit": event["unit"],
-                    "detail": event["detail"],
-                }
-            )
-        del store._events[:-MAX_EVENTS]
+            _require(key not in store._predicates, f"duplicate predicate {key!r}")
+            store._predicates[key] = observation
+        store._records.extend(_checked(EstimateRecord, entry) for entry in records)
         return store
 
     def save(self, path: Optional[str] = None) -> str:
@@ -599,5 +487,5 @@ class FeedbackStore:
         summary = self.summary()
         return (
             f"FeedbackStore({summary['predicates']} predicates, "
-            f"{summary['methods']} methods, {summary['events']} events)"
+            f"{summary['records']} records)"
         )

@@ -411,7 +411,7 @@ class RemoteTextTransport:
         ]
         return [future.result() for future in futures]
 
-    def _record_event(self, kind: str, detail: str) -> None:
+    def _note_event(self, kind: str, detail: str) -> None:
         with self._lock:
             self._pending_events.append(TransportEvent(kind, detail))
 
@@ -467,7 +467,7 @@ class RemoteTextTransport:
         elapsed = 0.0  # simulated seconds spent on this call so far
         while True:
             if not self.breaker.allow():
-                self._record_event("breaker", f"{label}: refused (circuit open)")
+                self._note_event("breaker", f"{label}: refused (circuit open)")
                 raise CircuitOpenError(
                     f"circuit open: {label} refused without touching the wire"
                 )
@@ -488,7 +488,7 @@ class RemoteTextTransport:
                 if policy.exhausted(attempts, elapsed):
                     with self._lock:
                         self.stats.failures += 1
-                    self._record_event(
+                    self._note_event(
                         "retry", f"{label}: gave up after {attempts} attempts ({exc})"
                     )
                     raise
@@ -497,7 +497,7 @@ class RemoteTextTransport:
                 self._add_waste(pause)
                 with self._lock:
                     self.stats.retries += 1
-                self._record_event(
+                self._note_event(
                     "retry",
                     f"{label}: attempt {attempts} failed ({exc}); "
                     f"backing off {pause:.3f}s",

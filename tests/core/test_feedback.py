@@ -83,10 +83,14 @@ class TestQError:
             qerror(1.0, 1.0, floor=0.0)
 
     def test_report_statistics(self):
-        report = QErrorReport()
-        assert report.max_q == 1.0 and report.median_q == 1.0
-        for estimated, actual in ((10, 10), (10, 20), (10, 80)):
-            report.add(EstimateRecord("x", "node", estimated, actual))
+        empty = QErrorReport()
+        assert empty.max_q == 1.0 and empty.median_q == 1.0
+        report = QErrorReport(
+            [
+                EstimateRecord("x", "node", estimated, actual)
+                for estimated, actual in ((10, 10), (10, 20), (10, 80))
+            ]
+        )
         assert report.max_q == 8.0
         assert report.median_q == 2.0
         assert [round(r.q) for r in report.worst(2)] == [8, 2]
@@ -540,7 +544,7 @@ class TestDegenerateInputs:
 
 
 # ----------------------------------------------------------------------
-# plan-node actuals and the per-node q-error report
+# plan-node estimate records (PlanExecution.estimates)
 # ----------------------------------------------------------------------
 class TestPlanNodeActuals:
     def test_node_actuals_cover_the_plan(self, tiny_catalog, tiny_server):
@@ -555,17 +559,24 @@ class TestPlanNodeActuals:
         run_context = JoinContext(tiny_catalog, TextClient(tiny_server))
         execution = execute_plan(optimized.plan, query, run_context)
 
-        assert execution.node_actuals
-        root = execution.node_actuals[-1]
-        assert root.actual_rows == len(execution.rows)
+        # Two records per node, rows then charged seconds, bottom-up.
+        estimates = execution.estimates
+        assert estimates and len(estimates) % 2 == 0
+        assert all(record.kind == "node" for record in estimates)
+        assert [r.label for r in estimates[::2]] == [
+            r.label for r in estimates[1::2]
+        ]
+        assert {r.unit for r in estimates[::2]} == {"rows"}
+        assert {r.unit for r in estimates[1::2]} == {"seconds"}
+        rows, cost = estimates[-2:]
+        assert rows.estimated == optimized.plan.estimated_rows
+        assert rows.actual == len(execution.rows)
         # The root's subtree spend is the whole run's ledger total.
-        assert root.actual_cost == pytest.approx(execution.cost.total)
-        assert all(
-            actual.estimated_rows is not None for actual in execution.node_actuals
-        )
+        assert cost.estimated == optimized.plan.estimated_cost
+        assert cost.actual == pytest.approx(execution.cost.total)
 
     def test_capture_is_charge_free(self, tiny_catalog, tiny_server):
-        """Recording node actuals must not add foreign calls or charges
+        """Recording node estimates must not add foreign calls or charges
         compared to the estimator-only path (invariant 14 again)."""
         query = MultiJoinQuery(
             relations=("student",),
@@ -581,7 +592,7 @@ class TestPlanNodeActuals:
         one = execute_plan(optimized.plan, query, first)
         two = execute_plan(optimized.plan, query, second)
         assert one.cost.total == two.cost.total
-        assert len(one.node_actuals) == len(two.node_actuals)
+        assert one.estimates == two.estimates
 
 
 # ----------------------------------------------------------------------

@@ -63,6 +63,23 @@ def test_text_source_contract_surface():
         assert not hasattr(module, name), name
 
 
+def test_one_estimate_record_surface():
+    """Every estimate-vs-actual pair is an ``EstimateRecord``; the shapes
+    it replaced are gone."""
+    from repro import core
+    from repro.core import feedback
+
+    assert core.EstimateRecord is feedback.EstimateRecord
+    for module, name in (
+        (core, "NodeActual"),
+        (feedback.FeedbackStore, "observe_method"),
+        (feedback.FeedbackStore, "record_event"),
+        (feedback, "MAX_EVENTS"),
+        (feedback, "MAX_METHOD_RUNS"),
+    ):
+        assert not hasattr(module, name), name
+
+
 def test_relational_substrate_surface():
     """The relational engine keeps what a plan executes; what no entry
     point reached is gone, exports included."""

@@ -17,6 +17,7 @@ repro index query "$WORK/corpus.idx" --expr "TI='algorithm'" \
 repro serve --shards 4 --pool 4 --cache
 repro qerror demo --store "$WORK/feedback.json"
 repro qerror report --store "$WORK/feedback.json"
+repro qerror report --store tests/core/feedback_store_v1.json
 repro multibackend
 repro serve --vector
 repro all --trace --feedback "$WORK/all.json"
