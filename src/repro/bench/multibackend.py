@@ -200,9 +200,7 @@ def build_multibackend_scenario(
 
 
 def multibackend_report(
-    scenario: Optional[MultibackendScenario] = None,
-    top_k: Optional[int] = 5,
-    vector_column: str = "student.area",
+    scenario: MultibackendScenario, vector_column: str = "student.area"
 ) -> Dict[str, Any]:
     """Plan, explain, execute, and attribute the joint query.
 
@@ -210,10 +208,8 @@ def multibackend_report(
     backend accounting table — everything the benchmark and the CI smoke
     step assert on.
     """
-    if scenario is None:
-        scenario = build_multibackend_scenario()
     scenario.registry.reset()
-    query = scenario.query(top_k=top_k, vector_column=vector_column)
+    query = scenario.query(vector_column=vector_column)
     boolean_context = scenario.boolean_context()
     vector_context = scenario.vector_context()
     plan = plan_heterogeneous(query, boolean_context, vector_context)

@@ -49,17 +49,8 @@ def explain_query(
     query: TextJoinQuery,
     inputs: QueryCostInputs,
     exhaustive_probes: bool = False,
-    feedback=None,
-    fingerprint: str = "",
 ) -> str:
-    """A textual EXPLAIN: statistics, ranked methods, cost components.
-
-    With a :class:`~repro.core.feedback.FeedbackStore` (and the corpus
-    ``fingerprint`` its observations were recorded under), the report
-    additionally shows which predicates carry runtime observations and
-    the store's accumulated q-error summary — what the optimizer has
-    *learned* on top of the one-shot statistics.
-    """
+    """A textual EXPLAIN: statistics, ranked methods, cost components."""
     lines: List[str] = []
     lines.append(f"Query: {query!r}")
     lines.append("")
@@ -106,37 +97,4 @@ def explain_query(
     lines.append(method_table("Method ranking (predicted seconds)", choices))
     lines.append("")
     lines.append(f"Chosen: {choices[0].estimate.method}")
-
-    if feedback is not None:
-        observation_rows = []
-        for column, stats in inputs.predicate_stats.items():
-            observation = feedback.observation(
-                fingerprint, column, stats.field
-            )
-            if observation is None:
-                continue
-            observed = observation.statistics()
-            observation_rows.append(
-                [
-                    column,
-                    observation.searches,
-                    round(observed.selectivity, 4),
-                    round(observed.fanout, 4),
-                ]
-            )
-        lines.append("")
-        if observation_rows:
-            lines.append(
-                ascii_table(
-                    ["join column", "searches", "observed s_i", "observed f_i"],
-                    observation_rows,
-                    title="Runtime feedback (blended into the statistics above)",
-                )
-            )
-        else:
-            lines.append("Runtime feedback: no observations for this corpus yet")
-        report = feedback.report()
-        if len(report):
-            lines.append("")
-            lines.append(report.render(top=5))
     return "\n".join(lines)

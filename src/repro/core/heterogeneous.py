@@ -246,11 +246,9 @@ def execute_heterogeneous(
     query: HeterogeneousJoinQuery,
     boolean_context: JoinContext,
     vector_context: JoinContext,
-    plan: Optional[HeterogeneousPlan] = None,
-    registry=None,
-    g: int = 1,
+    plan: HeterogeneousPlan,
 ) -> HeterogeneousExecution:
-    """Run the planned (or freshly planned) heterogeneous query.
+    """Run a heterogeneous query as :func:`plan_heterogeneous` planned it.
 
     Phase order follows the reducing half: the Boolean winner runs
     first and shrinks the relation, then the vector winner ranks only
@@ -258,10 +256,6 @@ def execute_heterogeneous(
     context's ledger — with registry-built clients, that is the
     backend's attributed ledger (invariant 15).
     """
-    if plan is None:
-        plan = plan_heterogeneous(
-            query, boolean_context, vector_context, registry=registry, g=g
-        )
     boolean_execution = plan.boolean_choice.method.execute(
         query.boolean, boolean_context
     )

@@ -109,24 +109,18 @@ class ProbeTupleSubstitution(JoinMethod):
       full instantiated search first and send a probe only after a
       failure (saving the probe for groups that succeed immediately, at
       the price of one wasted full search per failing probe group).
+      With Section 3.3's grouped-relation refinement, "a probe is sent
+      only if there is at least another tuple in the relation with the
+      same values in the probing columns as the tuple which resulted in
+      a fail-query": a probe no later group reads is skipped, so results
+      cannot change.
     """
 
     def __init__(
-        self,
-        probe_columns: Sequence[str],
-        probe_first: bool = True,
-        exploit_grouping: bool = False,
+        self, probe_columns: Sequence[str], probe_first: bool = True
     ) -> None:
         self.probe_columns = tuple(probe_columns)
         self.probe_first = probe_first
-        #: Section 3.3's ordered-relation refinement: when the relation is
-        #: grouped by the probing columns, "a probe is sent only if there
-        #: is at least another tuple in the relation with the same values
-        #: in the probing columns as the tuple which resulted in a
-        #: fail-query" — a singleton group's failed full query already
-        #: answers everything, so its probe would be pure waste.  Only
-        #: meaningful with ``probe_first=False``.
-        self.exploit_grouping = exploit_grouping
 
     @property
     def name(self) -> str:
@@ -159,19 +153,15 @@ class ProbeTupleSubstitution(JoinMethod):
         cache = ProbeCache()
         pairs: List[JoinedPair] = []
 
-        # For the grouped-relation refinement: how many distinct full
-        # substitutions share each probe key?  A probe can only pay off
-        # when that count exceeds one.
+        # For the grouped-relation refinement (full-first order only):
+        # how many distinct full substitutions share each probe key?  A
+        # probe can only pay off when that count exceeds one.
         groups = group_by_columns(rows, query.join_columns)
         probe_key_spread: Dict[Tuple[object, ...], int] = {}
-        if self.exploit_grouping:
+        if not self.probe_first:
             for group in groups.values():
-                spread_key = tuple(
-                    group[0][column] for column in probe_columns
-                )
-                probe_key_spread[spread_key] = (
-                    probe_key_spread.get(spread_key, 0) + 1
-                )
+                spread_key = tuple(group[0][column] for column in probe_columns)
+                probe_key_spread[spread_key] = probe_key_spread.get(spread_key, 0) + 1
 
         with context.client.trace_phase("probe"):
             for key, group in groups.items():
@@ -221,10 +211,7 @@ class ProbeTupleSubstitution(JoinMethod):
                 # exists yet, so no duplicate probes are generated.
                 if cache.get(probe_key) is not None:
                     continue
-                if (
-                    self.exploit_grouping
-                    and probe_key_spread.get(probe_key, 0) <= 1
-                ):
+                if probe_key_spread[probe_key] <= 1:
                     # No other substitution shares this probe key: the
                     # probe could prune nothing (the grouped refinement).
                     continue

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.core.optimizer.estimator import INTERMEDIATE, PlanEstimator
 from repro.core.optimizer.multiquery import TEXT_SOURCE, MultiJoinQuery
@@ -241,7 +241,7 @@ def _text_join_alternatives(
 def optimize_multijoin(
     query: MultiJoinQuery,
     estimator: PlanEstimator,
-    space: Optional[str] = None,
+    space: str = "extended",
 ) -> OptimizedPlan:
     """Dynamic-programming enumeration over an execution space.
 
@@ -262,8 +262,6 @@ def optimize_multijoin(
       partition of each subset (the "[CDY] other choices of execution
       space" direction).
     """
-    if space is None:
-        space = "extended"
     if space not in ("traditional", "prl", "extended", "bushy"):
         raise OptimizationError(f"unknown execution space {space!r}")
     probes = space != "traditional"

@@ -15,6 +15,10 @@ between OpenODB and the CMU Mercury server: instead of paying real
 seconds per connection, the ledger accumulates *simulated* seconds using
 the constants the paper calibrated on that link.
 
+A search is a batch of one (Section 8 prices a batched invocation as
+one ``c_i``): ``search``, ``probe`` and ``search_batch`` all settle
+through one path, as ``retrieve`` is ``retrieve_many`` of one docid.
+
 Three optional layers ride on the gateway:
 
 - a :class:`~repro.gateway.cache.GatewayCache`: repeated searches and
@@ -31,7 +35,8 @@ Three optional layers ride on the gateway:
   table.  The table only returns answers — this client settles each one
   at its as-if-alone price: a *joined* answer is a cache hit when there
   is a cache, and is charged in full plus credited to
-  ``ledger.seconds_shared`` when there is none.  With neither a cache
+  ``ledger.seconds_shared`` when there is none; an invocation nothing
+  was dispatched for credits its ``c_i`` as well.  With neither a cache
   nor a table every search is dispatched directly.
 - a :class:`~repro.gateway.tracing.CallTracer`: every search, probe,
   batch, retrieval and statistics read becomes a span labelled with the
@@ -54,6 +59,8 @@ from repro.textsys.result import ResultSet
 from repro.textsys.source import TextSource
 
 __all__ = ["TextClient"]
+
+Query = Union[SearchNode, str]
 
 
 class TextClient:
@@ -135,43 +142,30 @@ class TextClient:
                     cost=0.0,
                 )
 
-    def _note_cache(self, hit: bool) -> None:
-        """Attribute one cache outcome to the caller's sink, if any."""
-        if self.cache_stats is None:
-            return
-        if hit:
-            self.cache_stats.hits += 1
-        else:
-            self.cache_stats.misses += 1
-
-    def _wants_expression(self) -> bool:
-        return self.cache is not None or self.tracer.enabled
+    def _note_cache(self, hits: int, misses: int) -> None:
+        """Attribute cache outcomes to the caller's sink, if any."""
+        if self.cache_stats is not None:
+            self.cache_stats.hits += hits
+            self.cache_stats.misses += misses
 
     def _canonical(
-        self, query: Union[SearchNode, str]
-    ) -> Tuple[Union[SearchNode, str], Optional[str]]:
-        """The cache/trace key: the canonical rendering of the search.
+        self, queries: List[Query]
+    ) -> Tuple[List[Query], List[Optional[str]]]:
+        """The cache/trace keys: the canonical rendering of each search.
 
         Strings are parsed so that ``"TI='belief'"`` and the equivalent
         :class:`~repro.textsys.query.TermQuery` share one cache entry.
-        Only computed when a cache or an enabled tracer needs it.
+        Only computed when a cache or an enabled tracer needs them.
         """
-        if not self._wants_expression():
-            return query, None
-        if isinstance(query, str):
-            query = parse_search(query)
-        return query, query.to_expression()
-
-    def _data_version(self):
-        """The cache-validation key: the source's ``data_fingerprint``
-        (a ``(store uid, version)`` pair cannot collide across backends
-        the way bare version counters do)."""
-        return self.server.data_fingerprint
+        if self.cache is None and not self.tracer.enabled:
+            return queries, [None] * len(queries)
+        parsed = [parse_search(q) if isinstance(q, str) else q for q in queries]
+        return parsed, [query.to_expression() for query in parsed]
 
     # ------------------------------------------------------------------
     # the two foreign operations
     # ------------------------------------------------------------------
-    def search(self, query: Union[SearchNode, str]) -> ResultSet:
+    def search(self, query: Query) -> ResultSet:
         """Send one search; returns the short-form result set.
 
         Charges ``c_i + c_p * postings + c_s * |result|`` — unless the
@@ -179,71 +173,9 @@ class TextClient:
         case nothing is charged and the avoided cost is credited to
         ``ledger.seconds_saved``.
         """
-        return self._metered_search(query, kind="search")
+        return self._settle([query], "search")[0]
 
-    def _serve_cached(
-        self, kind: str, expression: Optional[str], cached: ResultSet
-    ) -> ResultSet:
-        """Account one search answered without a dispatch (hit/coalesce)."""
-        saved = self.ledger.constants.search_cost(
-            cached.postings_processed, len(cached)
-        )
-        self.ledger.credit_saved(saved)
-        self._note_cache(hit=True)
-        self.tracer.record(
-            kind,
-            expression,
-            result_size=len(cached),
-            postings_processed=cached.postings_processed,
-            cost=0.0,
-            saved=saved,
-            cache_hit=True,
-        )
-        return cached
-
-    def _credit_shared(self, seconds: float) -> None:
-        """Record the backend work a cache-less joined search avoided."""
-        self.ledger.credit_shared(seconds)
-        self.inflight.stats.on_join(seconds)
-
-    def _metered_search(self, query: Union[SearchNode, str], kind: str) -> ResultSet:
-        query, expression = self._canonical(query)
-        version = None
-        if self.cache is not None:
-            version = self._data_version()
-            self.cache.validate(version)
-            cached = self.cache.search.get(expression)
-            if cached is not None:
-                return self._serve_cached(kind, expression, cached)
-        joined = False
-        try:
-            if self.inflight is None:
-                result = self.server.search(query)
-            else:
-                ((result, joined),) = self.inflight.fetch(
-                    self.server, [query], self.cache, [expression], version
-                )
-        finally:
-            self._settle_transport()
-        if self.cache is not None:
-            if joined:
-                self.cache.note_coalesced()
-                return self._serve_cached(kind, expression, result)
-            self._note_cache(hit=False)
-        cost = self.ledger.charge_search(result.postings_processed, len(result))
-        if joined:
-            self._credit_shared(cost)
-        if self.tracer.enabled:
-            self.tracer.record(
-                kind,
-                expression,
-                result_size=len(result),
-                postings_processed=result.postings_processed,
-                cost=cost,
-            )
-        return result
-
-    def search_batch(self, queries) -> List[ResultSet]:
+    def search_batch(self, queries: Iterable[Query]) -> List[ResultSet]:
         """Send many searches in ONE invocation (Section 8's proposal).
 
         Requires a source that publishes a ``batch_limit``.  Charges a
@@ -261,101 +193,99 @@ class TextClient:
                 "(it publishes batch_limit=None)"
             )
         queries = list(queries)
-        if self.inflight is None:
-            try:
-                results = self.server.search_batch(queries)
-            finally:
-                self._settle_transport()
-            postings = sum(result.postings_processed for result in results)
-            returned = sum(len(result) for result in results)
-            cost = self.ledger.charge_search(postings, returned)
-            self.tracer.record(
-                "batch",
-                f"<batch of {len(queries)}>",
-                result_size=returned,
-                postings_processed=postings,
-                cost=cost,
-            )
-            return results
+        return self._settle(queries, "batch", f"<batch of {len(queries)}>")
 
-        expressions: List[Optional[str]] = [None] * len(queries)
+    def _settle(
+        self, queries: List[Query], kind: str, label: Optional[str] = None
+    ) -> List[ResultSet]:
+        """Send ``queries`` as one invocation and settle it as if alone.
+
+        Each answer is a cache hit, *joined* to an identical search in
+        the in-flight table, or dispatched for this caller.  One
+        ``charge_search`` (one ``c_i``) covers the dispatched answers,
+        and the joined ones too when there is no cache.  Each hit or
+        join is credited at its as-if-alone price — to
+        ``seconds_saved`` with a cache, else to ``seconds_shared`` and
+        the table's :class:`~repro.gateway.inflight.SharingStats` — and
+        the ``c_i`` with it when nothing was dispatched for this caller
+        (a lone search's credit is its ``search_cost``).  A search's
+        span shows its expression; a batch's shows ``label``.
+        """
+        queries, expressions = self._canonical(queries)
+        cache = self.cache
         results: List[Optional[ResultSet]] = [None] * len(queries)
-        misses = list(range(len(queries)))
+        misses: Sequence[int] = range(len(queries))
+        credited: List[int] = []  # hits, then joins
         version = None
-        if self.cache is not None:
-            version = self._data_version()
-            self.cache.validate(version)
-            canonical = [self._canonical(query) for query in queries]
-            queries = [query for query, _ in canonical]
-            expressions = [expression for _, expression in canonical]
+        if cache is not None:
+            # The fingerprint, not the bare version: a ``(store uid,
+            # version)`` pair cannot collide across backends.
+            version = self.server.data_fingerprint
+            cache.validate(version)
+            misses = []
             for index, expression in enumerate(expressions):
-                results[index] = self.cache.search.get(expression)
-            misses = [index for index in misses if results[index] is None]
-
-        joined = set()
+                results[index] = cache.search.get(expression)
+                (misses if results[index] is None else credited).append(index)
+        hits = len(credited)
+        sent: Sequence[int] = misses
         if misses:
             try:
-                fetched = self.inflight.fetch(
-                    self.server,
-                    [queries[index] for index in misses],
-                    self.cache,
-                    [expressions[index] for index in misses],
-                    version,
-                )
+                if self.inflight is not None:
+                    fetched = self.inflight.fetch(
+                        self.server,
+                        [queries[index] for index in misses],
+                        cache,
+                        [expressions[index] for index in misses],
+                        version,
+                    )
+                    sent = []
+                    for index, (result, joined) in zip(misses, fetched):
+                        results[index] = result
+                        (credited if joined else sent).append(index)
+                elif len(queries) == 1:
+                    results = [self.server.search(queries[0])]
+                else:
+                    results = self.server.search_batch(queries)
             finally:
                 self._settle_transport()
-            for index, (result, was_joined) in zip(misses, fetched):
-                results[index] = result
-                if was_joined:
-                    joined.add(index)
 
-        # Settle as if alone.  Without a cache the whole batch is
-        # charged (one c_i plus every answer) and each joined answer's
-        # share is credited to ``seconds_shared``.  With one, only the
-        # answers dispatched for this client are charged; hits and
-        # joined answers are saved, plus the invocation itself when
-        # nothing travelled on this client's behalf.
-        constants = self.ledger.constants
-        paid = misses
-        if self.cache is not None:
-            paid = [index for index in misses if index not in joined]
+        if cache is not None:
+            if len(credited) > hits:
+                cache.note_coalesced(len(credited) - hits)
+            self._note_cache(len(credited), len(sent))
         cost = 0.0
+        paid = results if cache is None else [results[index] for index in sent]
         if paid:
-            cost = self.ledger.charge_search(
-                sum(results[index].postings_processed for index in paid),
-                sum(len(results[index]) for index in paid),
-            )
-        saved = 0.0
-        if self.cache is None:
-            for index in joined:
+            postings = size = 0
+            for result in paid:
+                postings += result.postings_processed
+                size += len(result)
+            cost = self.ledger.charge_search(postings, size)
+        credit = 0.0
+        if credited:
+            constants = self.ledger.constants
+            price = constants.answer_cost if sent else constants.search_cost
+            for index in credited:
                 result = results[index]
-                self._credit_shared(
-                    constants.answer_cost(result.postings_processed, len(result))
-                )
-        else:
-            if joined:
-                self.cache.note_coalesced(len(joined))
-            dispatched = set(paid)
-            for index, result in enumerate(results):
-                hit = index not in dispatched
-                self._note_cache(hit=hit)
-                if hit:
-                    saved += constants.answer_cost(
-                        result.postings_processed, len(result)
-                    )
-            if not paid:
-                saved += constants.invocation
-            if saved:
-                self.ledger.credit_saved(saved)
-        self.tracer.record(
-            "batch",
-            f"<batch of {len(queries)}>",
-            result_size=sum(len(result) for result in results),
-            postings_processed=sum(result.postings_processed for result in results),
-            cost=cost,
-            saved=saved,
-            cache_hit=self.cache is not None and not paid,
-        )
+                seconds = price(result.postings_processed, len(result))
+                price = constants.answer_cost
+                credit += seconds
+                if cache is None:
+                    self.inflight.stats.on_join(seconds)
+            if cache is None:
+                self.ledger.credit_shared(credit)
+            else:
+                self.ledger.credit_saved(credit)
+        if self.tracer.enabled:
+            self.tracer.record(
+                kind,
+                label or expressions[0],
+                result_size=sum(len(result) for result in results),
+                postings_processed=sum(r.postings_processed for r in results),
+                cost=cost,
+                saved=credit if cache is not None else 0.0,
+                cache_hit=cache is not None and not sent,
+            )
         return results
 
     def retrieve(self, docid: str) -> Document:
@@ -382,12 +312,12 @@ class TextClient:
         misses = wanted
         version = None
         if self.cache is not None:
-            version = self._data_version()
+            version = self.server.data_fingerprint
             self.cache.validate(version)
             misses = []
             for docid in wanted:
                 cached = self.cache.retrieve.get(docid)
-                self._note_cache(hit=cached is not None)
+                self._note_cache(int(cached is not None), int(cached is None))
                 if cached is None:
                     misses.append(docid)
                     continue
@@ -439,7 +369,7 @@ class TextClient:
     # ------------------------------------------------------------------
     # probing and RTP support
     # ------------------------------------------------------------------
-    def probe(self, query: Union[SearchNode, str]) -> bool:
+    def probe(self, query: Query) -> bool:
         """Send a probe: a search whose only use is "any matches?".
 
         A probe is an ordinary short-form search (Section 3.3: "requiring
@@ -447,7 +377,7 @@ class TextClient:
         any matching documents ... by requesting the short form
         response"), so it is charged exactly like :meth:`search`.
         """
-        return not self._metered_search(query, kind="probe").is_empty
+        return not self._settle([query], "probe")[0].is_empty
 
     def charge_rtp(self, document_count: int) -> float:
         """Account for SQL string matching over ``document_count`` documents."""
@@ -511,11 +441,11 @@ class TextClient:
         self.tracer.record("stats", expression, len(terms), 0, cost=0.0)
         return frequencies
 
-    def statistics_search(self, query: Union[SearchNode, str]) -> ResultSet:
+    def statistics_search(self, query: Query) -> ResultSet:
         """One *unmetered*, uncached search, for what the directory cannot
         answer (a selection conjunction, a phrase value): charged to
         nobody, but settled and traced (``"stats"``) like any call."""
-        query, expression = self._canonical(query)
+        (query,), (expression,) = self._canonical([query])
         try:
             result = self.server.search(query)
         finally:

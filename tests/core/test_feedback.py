@@ -593,38 +593,3 @@ class TestPlanNodeActuals:
         two = execute_plan(optimized.plan, query, second)
         assert one.cost.total == two.cost.total
         assert one.estimates == two.estimates
-
-
-# ----------------------------------------------------------------------
-# EXPLAIN surfaces what the optimizer learned
-# ----------------------------------------------------------------------
-class TestExplainFeedback:
-    def test_explain_shows_observations_and_qerrors(self, scenario):
-        from repro.core.explain import explain_query
-
-        loop = feedback_loop_report()
-        store = loop["store"]
-        fingerprint = corpus_fingerprint(scenario.server)
-        query = scenario.q4()
-        inputs = build_cost_inputs(
-            query,
-            scenario.context(),
-            registry=stale_statistics_registry(),
-            feedback=store,
-        )
-        text = explain_query(
-            query, inputs, feedback=store, fingerprint=fingerprint
-        )
-        assert "Runtime feedback" in text
-        assert "student.advisor" in text
-        assert "guard:P(advisor)+RTP" in text  # the abort's true cause
-
-    def test_explain_without_observations_says_so(self, tiny_context):
-        from repro.core.explain import explain_query
-
-        query = q4_query()
-        inputs = build_cost_inputs(query, tiny_context)
-        text = explain_query(
-            query, inputs, feedback=FeedbackStore(), fingerprint="fp"
-        )
-        assert "no observations for this corpus yet" in text

@@ -149,10 +149,14 @@ class TestExecution:
 
     def test_charges_split_across_backend_ledgers(self, scenario):
         scenario.registry.reset()
+        query = scenario.query()
+        boolean_context = scenario.boolean_context()
+        vector_context = scenario.vector_context()
         execution = execute_heterogeneous(
-            scenario.query(),
-            scenario.boolean_context(),
-            scenario.vector_context(),
+            query,
+            boolean_context,
+            vector_context,
+            plan_heterogeneous(query, boolean_context, vector_context),
         )
         boolean_total = scenario.registry.binding(scenario.boolean_name).ledger.total
         vector_total = scenario.registry.binding(scenario.vector_name).ledger.total
@@ -170,10 +174,14 @@ class TestExecution:
         """Tuples the Boolean half keeps but the vector half cannot rank
         never appear in the combined result."""
         scenario.registry.reset()
+        query = scenario.query(vector_column="student.name")
+        boolean_context = scenario.boolean_context()
+        vector_context = scenario.vector_context()
         execution = execute_heterogeneous(
-            scenario.query(vector_column="student.name"),
-            scenario.boolean_context(),
-            scenario.vector_context(),
+            query,
+            boolean_context,
+            vector_context,
+            plan_heterogeneous(query, boolean_context, vector_context),
         )
         # Student names never occur in abstracts: everything is dropped.
         assert execution.rows == []

@@ -1,10 +1,17 @@
 """Unit tests for the metered text client."""
 
+import dataclasses
+import threading
+import time
+
 import pytest
 
+from repro.gateway.cache import GatewayCache
 from repro.gateway.client import TextClient
+from repro.gateway.inflight import InflightSearchTable
 from repro.gateway.tracing import CallTracer
 from repro.textsys.query import TermQuery
+from repro.textsys.server import BooleanTextServer
 
 
 class TestSearchAccounting:
@@ -111,3 +118,148 @@ def test_meta_properties(tiny_server):
     assert client.field_names == ("title", "author", "abstract", "year")
     assert client.short_fields == ("title", "author", "year")
     assert client.data_version == tiny_server.data_version
+
+
+class _GatedServer:
+    """Delegating server whose first search (or batch) waits for ``open``,
+    so other callers can join its flight before it lands."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.open = threading.Event()
+        self._gated = True
+
+    def _wait(self):
+        if self._gated:
+            self._gated = False
+            assert self.open.wait(10)
+
+    def search(self, query):
+        self._wait()
+        return self._inner.search(query)
+
+    def search_batch(self, queries):
+        self._wait()
+        return self._inner.search_batch(queries)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def _wait_for(condition):
+    deadline = time.monotonic() + 10
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.001)
+
+
+def _settle(store, call, queries, outcome, cached, tabled, mode=None):
+    """Run ``call(client)`` once on a fresh world in which ``queries``
+    are a cache *hit* (primed by another client), *joined* to another
+    client's flight, or a *miss*; returns the caller's ledger, spans and
+    the table's sharing statistics."""
+    server = _GatedServer(
+        BooleanTextServer(store, batch_limit=4, engine_mode=mode)
+    )
+    cache = GatewayCache() if cached else None
+    table = InflightSearchTable() if tabled else None
+
+    def client(tracer=None):
+        return TextClient(server, cache=cache, inflight=table, tracer=tracer)
+
+    subject = client(CallTracer())
+    if outcome == "join":
+        flights = subject.inflight._flights
+        leader = threading.Thread(
+            target=client().search_batch, args=(list(queries),)
+        )
+        leader.start()
+        _wait_for(lambda: len(flights) == len(queries))
+        caller = threading.Thread(target=call, args=(subject,))
+        caller.start()
+        _wait_for(lambda: all(f.participants == 2 for f in list(flights.values())))
+        server.open.set()
+        for thread in (leader, caller):
+            thread.join(10)
+            assert not thread.is_alive()
+    else:
+        server.open.set()
+        if outcome == "hit":
+            client().search_batch(list(queries))
+        call(subject)
+    sharing = subject.inflight.stats if subject.inflight else None
+    return subject.ledger, subject.tracer.spans, sharing
+
+
+_LEDGER = (
+    "total",
+    "searches",
+    "postings_processed",
+    "short_documents",
+    "seconds_saved",
+    "seconds_shared",
+)
+_SETUPS = [
+    (cached, tabled, outcome)
+    for cached in (False, True)
+    for tabled in (False, True)
+    for outcome in ("miss", "hit", "join")
+    if not (outcome == "hit" and not cached)
+    and not (outcome == "join" and not (cached or tabled))
+]
+
+
+class TestOneSettlement:
+    """A search is a batch of one: both settle through one path."""
+
+    QUERY = "TI='belief'"
+
+    @pytest.mark.parametrize("mode", ["reference", "optimized"])
+    @pytest.mark.parametrize("cached,tabled,outcome", _SETUPS)
+    def test_search_and_batch_of_one_settle_identically(
+        self, tiny_store, mode, cached, tabled, outcome
+    ):
+        settled = [
+            _settle(tiny_store, call, [self.QUERY], outcome, cached, tabled, mode)
+            for call in (
+                lambda client: client.search(self.QUERY),
+                lambda client: client.search_batch([self.QUERY]),
+            )
+        ]
+        (alone, [search], stats), (batch, [batched], batch_stats) = settled
+        for name in _LEDGER:
+            assert getattr(alone, name) == getattr(batch, name), name
+        if stats is not None:
+            assert stats.snapshot() == batch_stats.snapshot()
+        assert (search.kind, batched.kind) == ("search", "batch")
+        assert (search.expression, batched.expression) == (
+            "title='belief'",
+            "<batch of 1>",
+        )
+        same = ("expression", "kind")
+        assert dataclasses.replace(search, **{n: "" for n in same}) == (
+            dataclasses.replace(batched, **{n: "" for n in same})
+        )
+        # The outcome really was what the case names.
+        assert (alone.searches == 1) == (outcome == "miss" or not cached)
+        assert (alone.seconds_shared > 0) == (outcome == "join" and not cached)
+
+    def test_a_caller_nothing_was_sent_for_is_credited_its_invocation(
+        self, tiny_store
+    ):
+        """Without a cache, a batch whose every answer joined another
+        caller's flight is charged in full and credited in full: the
+        ``c_i`` it did not cause lands in ``seconds_shared`` too."""
+        queries = ["TI='belief'", "TI='systems'"]
+        ledger, _, stats = _settle(
+            tiny_store,
+            lambda client: client.search_batch(queries),
+            queries,
+            "join",
+            cached=False,
+            tabled=True,
+        )
+        assert ledger.searches == 1
+        assert ledger.seconds_shared == pytest.approx(ledger.total)
+        assert stats.snapshot()["shared_searches"] == 2
+        assert stats.snapshot()["seconds_shared"] == ledger.seconds_shared

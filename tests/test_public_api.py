@@ -105,14 +105,17 @@ def test_relational_substrate_surface():
 
 def test_unset_settings_are_gone():
     """A value no entry point sets is a constant, not a parameter: the
-    22 settings only tests ever passed stay out of every signature."""
+    28 settings only tests ever passed stay out of every signature."""
     import dataclasses
     import inspect
 
     from repro import remote, textsys
+    from repro.bench.multibackend import multibackend_report
     from repro.core.adaptive import execute_adaptively
+    from repro.core.explain import explain_query
+    from repro.core.heterogeneous import execute_heterogeneous
     from repro.core.inputs import build_cost_inputs, predicate_statistics
-    from repro.core.joinmethods import JoinContext
+    from repro.core.joinmethods import JoinContext, ProbeTupleSubstitution
     from repro.gateway.inflight import InflightSearchTable
     from repro.remote.resilience import CircuitBreaker
     from repro.remote.router import build_sharded_transport
@@ -130,6 +133,10 @@ def test_unset_settings_are_gone():
         QueryService: {"max_share_batch"},
         InflightSearchTable: {"max_batch"},
         CircuitBreaker: {"half_open_probes"},
+        explain_query: {"feedback", "fingerprint"},
+        ProbeTupleSubstitution: {"exploit_grouping"},
+        execute_heterogeneous: {"registry", "g"},
+        multibackend_report: {"top_k"},
     }
     for function, names in gone.items():
         parameters = set(inspect.signature(function).parameters)
