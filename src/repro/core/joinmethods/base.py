@@ -273,10 +273,18 @@ def rtp_fields_available(source: Any, predicates: Sequence[Any]) -> bool:
     )
 
 
-def _join_value_tokens(row: Row, column: str) -> List[str]:
-    """One join value as match tokens; ``[]`` (never matches) for NULL."""
+def _join_value_tokens(
+    row: Row, column: str, tokens: Dict[str, List[str]]
+) -> List[str]:
+    """One join value as match tokens (``[]``, never matching, for NULL),
+    memoized by ``str(value)``: ``1``, ``1.0`` and ``True`` differ."""
     value = row[column]
-    return [] if value is None else tokenize(str(value))
+    if value is None:
+        return []
+    text = str(value)
+    if text not in tokens:
+        tokens[text] = tokenize(text)
+    return tokens[text]
 
 
 def rtp_match_pairs(
@@ -284,6 +292,7 @@ def rtp_match_pairs(
     documents: Sequence[Document],
     rows: Sequence[Row],
     predicates: Sequence[TextJoinPredicate],
+    tokens: Optional[Dict[str, List[str]]] = None,
 ) -> List[JoinedPair]:
     """The RTP phase shared by every fetch-then-match method.
 
@@ -296,9 +305,11 @@ def rtp_match_pairs(
     no indexable word never match).  Each join value and each document
     field is read and tokenized once per call, not once per pair: the
     first time a pair reaches its predicate, so a column is looked up
-    exactly when a per-pair check would look it up.
+    exactly when a per-pair check would look it up.  A caller matching
+    many groups passes one ``tokens`` memo to tokenize a value once.
     """
     context.client.charge_rtp(len(documents) * len(rows))
+    tokens = {} if tokens is None else tokens
     # needles[k][r]: row r's tokens for predicate k; None = not read yet.
     needles: List[List[Optional[List[str]]]] = [[None] * len(rows) for _ in predicates]
     numbered = list(enumerate(predicates))
@@ -309,7 +320,9 @@ def rtp_match_pairs(
             for k, predicate in numbered:
                 needle = needles[k][r]
                 if needle is None:
-                    needle = needles[k][r] = _join_value_tokens(row, predicate.column)
+                    needle = needles[k][r] = _join_value_tokens(
+                        row, predicate.column, tokens
+                    )
                 if not needle:
                     break
                 haystack = haystacks[k]

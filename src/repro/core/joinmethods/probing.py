@@ -289,6 +289,7 @@ class ProbeRtp(JoinMethod):
         fetched = 0
         probes_sent = 0
         successes = 0
+        tokens: Dict[str, List[str]] = {}
 
         for key, group in group_by_columns(rows, probe_columns).items():
             with context.client.trace_phase("probe"):
@@ -326,7 +327,7 @@ class ProbeRtp(JoinMethod):
             with context.client.trace_phase("RTP"):
                 pairs.extend(
                     rtp_match_pairs(
-                        context, list(result), group, remaining_predicates
+                        context, list(result), group, remaining_predicates, tokens
                     )
                 )
 

@@ -13,9 +13,10 @@ harness can report relational work alongside text-system cost.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from operator import length_hint
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
-from repro.relational.expressions import Expression
+from repro.relational.expressions import Expression, Literal
 from repro.relational.row import Row
 from repro.relational.schema import Schema
 
@@ -52,10 +53,11 @@ class MaterializedInput(Operator):
 class NestedLoopJoin(Operator):
     """Nested loop join with an arbitrary join predicate.
 
-    The right input is materialized once, the predicate bound once; a
-    pair becomes a ``Row`` only if it survives.  ``comparisons`` counts the
-    predicate evaluations performed — the measure of relational work used
-    by the benchmark harness.
+    When iteration starts, the right input is materialized and the
+    predicate bound once and tested on value tuples; a pair becomes a
+    ``Row`` only if it survives (width checked once per join).
+    ``comparisons`` counts the predicate evaluations performed — the
+    measure of relational work used by the benchmark harness.
     """
 
     def __init__(
@@ -72,14 +74,15 @@ class NestedLoopJoin(Operator):
 
     def __iter__(self) -> Iterator[Row]:
         schema = self.output_schema
-        right_values = [row.values for row in self.right]
-        test = None if self.predicate is None else self.predicate.bind(schema)
+        right = [row.values for row in self.right]
+        test = (self.predicate or Literal(True)).bind(schema)
+        survivors: List[Tuple[Any, ...]] = []
         for left_row in self.left:
-            left_values = left_row.values
-            for values in right_values:
-                values = left_values + values
-                if test is not None:
-                    self.comparisons += 1
-                    if test(values) is not True:
-                        continue
-                yield Row(schema, values)
+            pairs = iter([left_row.values + values for values in right])
+            try:
+                survivors += [values for values in pairs if test(values) is True]
+            finally:
+                # A raising predicate consumed its pair: count it too.
+                if self.predicate is not None:
+                    self.comparisons += len(right) - length_hint(pairs)
+        return iter(Row.many(schema, survivors))

@@ -10,7 +10,7 @@ test value tuples, build a ``Row`` only for survivors.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.relational.schema import Schema
@@ -30,6 +30,18 @@ class Row:
             )
         self.schema = schema
         self.values: Tuple[Any, ...] = tuple(values)
+
+    @classmethod
+    def many(cls, schema: Schema, tuples: Sequence[Tuple[Any, ...]]) -> List["Row"]:
+        """Rows of ``schema`` over value tuples of one width, checked once."""
+        if tuples:
+            cls(schema, tuples[0])  # raises SchemaError on a width mismatch
+        new, rows = cls.__new__, []
+        for values in tuples:
+            row = new(cls)
+            row.schema, row.values = schema, values
+            rows.append(row)
+        return rows
 
     def __getitem__(self, name: str) -> Any:
         """Value of the named column (qualified or unambiguous bare name)."""

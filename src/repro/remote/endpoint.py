@@ -25,7 +25,7 @@ part of a remote call.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 import repro.errors as errors_module
 from repro.errors import RemoteProtocolError, ReproError
@@ -49,29 +49,47 @@ def resolve_remote_error(error_type: str, message: str) -> ReproError:
     return RemoteProtocolError(f"remote {error_type}: {message}")
 
 
+def _fits(payload: Any, shape: Dict[str, Tuple[type, ...]]) -> bool:
+    """Does ``payload`` carry every key of ``shape`` with its type?  A
+    ``(list, item type)`` shape types the list's items too."""
+    return isinstance(payload, dict) and all(
+        isinstance(payload.get(key), kind[0])
+        and (len(kind) == 1 or all(isinstance(x, kind[1]) for x in payload[key]))
+        for key, kind in shape.items()
+    )
+
+
 class TextServerEndpoint:
     """Frame-level dispatcher over an in-process text server."""
 
     def __init__(self, server: Any) -> None:
         self.server = server
         self._lock = threading.Lock()
-        self._operations: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-            "search": self._op_search,
-            "search_batch": self._op_search_batch,
-            "retrieve": self._op_retrieve,
-            "retrieve_many": self._op_retrieve_many,
-            "document_frequency": self._op_document_frequency,
-            "meta": self._op_meta,
+        # Each op's handler and payload shape, checked before dispatch.
+        self._operations: Dict[str, Tuple[Callable[..., Dict[str, Any]], Dict]] = {
+            "search": (self._op_search, {"query": (dict,)}),
+            "search_batch": (self._op_search_batch, {"queries": (list, dict)}),
+            "retrieve": (self._op_retrieve, {"docid": (str,)}),
+            "retrieve_many": (self._op_retrieve_many, {"docids": (list, str)}),
+            "document_frequency": (
+                self._op_document_frequency,
+                {"field": (str,), "term": (str,)},
+            ),
+            "meta": (self._op_meta, {}),
         }
 
     # ------------------------------------------------------------------
     # the frame handler (what the channel calls)
     # ------------------------------------------------------------------
     def handle(self, frame: str) -> str:
+        """Answer one request frame; a malformed one gets an error frame."""
         frame_id, op, payload = decode_request(frame)
-        operation = self._operations.get(op)
-        if operation is None:
+        if not (isinstance(op, str) and op in self._operations):
             return encode_error(frame_id, "RemoteProtocolError", f"unknown op {op!r}")
+        operation, shape = self._operations[op]
+        if not _fits(payload, shape):
+            message = f"malformed {op} payload; it needs {sorted(shape)}"
+            return encode_error(frame_id, "RemoteProtocolError", message)
         try:
             with self._lock:
                 result = operation(payload)

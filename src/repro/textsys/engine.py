@@ -16,8 +16,9 @@ Two engine modes produce that result:
   by :mod:`repro.textsys.rewriter` (flattened, duplicate-free,
   conjuncts ordered by document frequency), a conjunction folds into
   one running result that *restricts* every later conjunct (an OR is
-  probed disjunct by disjunct when ``len(current) * k`` is at most its
-  charge-free directory estimate), intersections gallop on skewed lists
+  probed disjunct by disjunct, and a ``k``-word phrase merged only
+  within it, when ``len(current) * k`` is at most its charge-free
+  directory estimate), intersections gallop on skewed lists
   and stop once empty, OR/truncation fan-ins use one k-way set union,
   and repeated subexpressions are evaluated once (only full results are
   memoized, never restricted ones).  Every leaf still reaches a
@@ -51,6 +52,7 @@ from repro.textsys.postings import (
     intersect,
     intersect_linear,
     positional_intersect,
+    select_docs,
     union,
     union_many,
 )
@@ -63,6 +65,7 @@ from repro.textsys.query import (
     SearchNode,
     TermQuery,
     TruncatedQuery,
+    positional_words,
 )
 from repro.textsys.rewriter import estimated_result_size, rewrite
 
@@ -222,6 +225,7 @@ class _OptimizedEvaluator:
     def __init__(self, index: InvertedIndex) -> None:
         self.index = index
         self._memo: Dict[SearchNode, PostingList] = {}
+        self._words: Dict[Tuple[str, str], PostingList] = {}
 
     def run(self, query: SearchNode) -> Tuple[PostingList, int]:
         plan = rewrite(self.index, query)
@@ -256,26 +260,8 @@ class _OptimizedEvaluator:
                 processed,
             )
 
-        if isinstance(node, PhraseQuery):
-            lists = [index.lookup(node.field, word) for word in node.words]
-            processed = sum(len(postings) for postings in lists)
-            current = lists[0]
-            for following in lists[1:]:
-                current = positional_intersect(
-                    current, following, min_gap=1, max_gap=1
-                )
-                if not len(current):
-                    break
-            return current.without_positions(), processed
-
-        if isinstance(node, ProximityQuery):
-            left = index.lookup(node.field, node.left)
-            right = index.lookup(node.field, node.right)
-            processed = len(left) + len(right)
-            near = positional_intersect(
-                left, right, min_gap=-node.distance, max_gap=node.distance
-            )
-            return near.without_positions(), processed
+        if isinstance(node, (PhraseQuery, ProximityQuery)):
+            return self._positional(node)
 
         if isinstance(node, AndQuery):
             return self._compute_and(node)
@@ -311,6 +297,8 @@ class _OptimizedEvaluator:
           selective conjunct probes each list, galloping through a disk
           list's skip table, instead of merging them all.  Otherwise the
           OR is unioned in full, then intersected;
+        - a phrase or proximity conjunct of ``w`` words merges positions
+          only within ``current`` by the same rule, with ``k = w``;
         - anything else is evaluated, then intersected.
 
         A restricted result is never memoized; a memoized ``AND``/``OR``
@@ -354,8 +342,34 @@ class _OptimizedEvaluator:
                     union_many([postings for postings, _ in restricted]),
                     sum(processed for _, processed in restricted),
                 )
+            if isinstance(node, (PhraseQuery, ProximityQuery)):
+                size = estimated_result_size(self.index, node)
+                if len(current) * len(positional_words(node)) <= size:
+                    return self._positional(node, current)
         postings, processed = self._eval(node)
         return intersect(current, postings), processed
+
+    def _positional(
+        self, node: SearchNode, current: Optional[PostingList] = None
+    ) -> Tuple[PostingList, int]:
+        """A phrase or proximity conjunct (``AND current`` when given: each
+        merge first cuts both sides to the docs that can survive).  Every
+        lookup charges; a word met again reuses its first list's decode."""
+        near = isinstance(node, ProximityQuery)
+        low, high = (-node.distance, node.distance) if near else (1, 1)
+        keys = [(node.field, word) for word in positional_words(node)]
+        lists = [self._words.setdefault(key, self.index.lookup(*key)) for key in keys]
+        processed = sum(len(postings) for postings in lists)
+        chain = lists[0]
+        for following in lists[1:]:
+            if current is not None:
+                current = select_docs(following, select_docs(chain, current))
+                chain = select_docs(chain, current, positions=True)
+                following = select_docs(following, current, positions=True)
+            chain = positional_intersect(chain, following, low, high)
+            if not len(chain):
+                break
+        return chain.without_positions(), processed
 
     def _charge(self, node: SearchNode) -> int:
         """Retrieve a subtree's lists (charging pages) without merging.
@@ -373,14 +387,8 @@ class _OptimizedEvaluator:
                 len(postings)
                 for _, postings in index.lookup_prefix(node.field, node.prefix)
             )
-        if isinstance(node, PhraseQuery):
-            return sum(
-                len(index.lookup(node.field, word)) for word in node.words
-            )
-        if isinstance(node, ProximityQuery):
-            return len(index.lookup(node.field, node.left)) + len(
-                index.lookup(node.field, node.right)
-            )
+        if isinstance(node, (PhraseQuery, ProximityQuery)):
+            return sum(len(index.lookup(node.field, w)) for w in positional_words(node))
         if isinstance(node, (AndQuery, OrQuery)):
             return sum(self._charge(operand) for operand in node.operands)
         if isinstance(node, NotQuery):

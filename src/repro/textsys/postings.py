@@ -44,6 +44,7 @@ __all__ = [
     "union_many",
     "difference",
     "positional_intersect",
+    "select_docs",
     "GALLOP_RATIO",
 ]
 
@@ -354,6 +355,27 @@ def union_many(lists: Sequence[PostingList]) -> PostingList:
 def difference(left: PostingList, right: PostingList) -> PostingList:
     """Docs in ``left`` but not in ``right`` (positions dropped)."""
     return PostingList._from_sorted(_difference_arrays(left._docs, right._docs))
+
+
+def select_docs(
+    postings: PostingList, keep: PostingList, positions: bool = False
+) -> PostingList:
+    """The postings whose docs are in ``keep``, with their positions if
+    ``positions`` (read only when one survives).  Bisects into the whole
+    list, never a disk list's ``gallop_into``: a disk list decodes each
+    docid block once, as a positional merge does."""
+    docs = postings._docs if len(keep) else _EMPTY
+    found: List[int] = []
+    at, size = 0, len(docs)
+    for doc in keep._docs:
+        at = bisect_left(docs, doc, at, size)
+        if at < size and docs[at] == doc:
+            found.append(at)
+    kept = postings._positions if positions and found else None
+    return PostingList._from_sorted(
+        array("q", [docs[at] for at in found]),
+        None if kept is None else tuple(kept[at] for at in found),
+    )
 
 
 def positional_intersect(

@@ -30,6 +30,7 @@ __all__ = [
     "AndQuery",
     "OrQuery",
     "NotQuery",
+    "positional_words",
     "make_term",
     "data_term",
     "and_all",
@@ -195,6 +196,11 @@ class NotQuery(SearchNode):
 
     def to_expression(self) -> str:
         return f"(not {self.operand.to_expression()})"
+
+
+def positional_words(node: SearchNode) -> Tuple[str, ...]:
+    """The words a phrase or proximity node names, in order."""
+    return node.words if isinstance(node, PhraseQuery) else (node.left, node.right)
 
 
 def make_term(field: str, text: str) -> SearchNode:

@@ -38,6 +38,7 @@ from repro.textsys.query import (
     SearchNode,
     TermQuery,
     TruncatedQuery,
+    positional_words,
 )
 
 __all__ = ["RewriteResult", "rewrite", "estimated_result_size"]
@@ -70,15 +71,8 @@ def estimated_result_size(index: InvertedIndex, node: SearchNode) -> int:
             index.list_length(node.field, term)
             for term in index.prefix_terms(node.field, node.prefix)
         )
-    if isinstance(node, PhraseQuery):
-        return min(
-            index.list_length(node.field, word) for word in node.words
-        )
-    if isinstance(node, ProximityQuery):
-        return min(
-            index.list_length(node.field, node.left),
-            index.list_length(node.field, node.right),
-        )
+    if isinstance(node, (PhraseQuery, ProximityQuery)):
+        return min(index.list_length(node.field, w) for w in positional_words(node))
     if isinstance(node, AndQuery):
         return min(
             estimated_result_size(index, operand) for operand in node.operands

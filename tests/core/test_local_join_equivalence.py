@@ -17,7 +17,8 @@ from repro.core.joinmethods.base import (
     group_by_columns,
     rtp_match_pairs,
 )
-from repro.core.query import TextJoinPredicate
+from repro.core.joinmethods import ProbeRtp
+from repro.core.query import TextJoinPredicate, TextJoinQuery
 from repro.errors import SchemaError
 from repro.gateway.client import TextClient
 from repro.relational.catalog import Catalog
@@ -130,6 +131,59 @@ def test_rtp_match_pairs_unknown_column_only_raises_when_reached():
         rtp_match_pairs(fresh_context(), hit, rows, predicates)
     with pytest.raises(SchemaError):
         reference_rtp_match_pairs(fresh_context(), hit, rows, predicates)
+
+
+def test_probe_rtp_tokenizes_each_value_text_apart(monkeypatch):
+    """One P+RTP execution shares one needle memo across its groups.
+    ``1``, ``1.0`` and ``True`` hash equal but match as ``'1'``,
+    ``'1 0'`` and ``'true'``: every group must still match exactly as
+    the per-pair loop does, although group ``a`` memoizes ``1`` first."""
+    from repro.core.joinmethods import probing
+
+    catalog = Catalog()
+    relation = catalog.create_table(
+        "r",
+        Schema.of(
+            ("g", DataType.VARCHAR),
+            ("i", DataType.INTEGER),
+            ("f", DataType.FLOAT),
+            ("b", DataType.BOOLEAN),
+        ),
+    )
+    relation.insert_many(
+        [["a", 1, 2.5, False], ["b", 3, 1.0, True], ["c", 1, 1.0, True]]
+    )
+    store = DocumentStore(["g", "t"], short_fields=["g", "t"])
+    store.add_record("d1", g="a", t="1 2 5 false")
+    store.add_record("d2", g="b", t="3 1 true")
+    store.add_record("d3", g="b", t="3 1 0 true")
+    store.add_record("d4", g="c", t="1 0 true")
+    store.add_record("d5", g="c", t="1 true")
+    query = TextJoinQuery(
+        relation="r",
+        join_predicates=tuple(
+            TextJoinPredicate(f"r.{column}", field)
+            for column, field in (("g", "g"), ("i", "t"), ("f", "t"), ("b", "t"))
+        ),
+    )
+    groups = []
+
+    def checked(context, documents, rows, predicates, tokens):
+        groups.append(rows[0]["r.g"])
+        actual = outcome(rtp_match_pairs, documents, rows, predicates, dict(tokens))
+        expected = outcome(reference_rtp_match_pairs, documents, rows, predicates)
+        assert actual == expected, rows[0]["r.g"]
+        return rtp_match_pairs(context, documents, rows, predicates, tokens)
+
+    monkeypatch.setattr(probing, "rtp_match_pairs", checked)
+    context = JoinContext(catalog, TextClient(BooleanTextServer(store)))
+    execution = ProbeRtp(("r.g",)).execute(query, context)
+    assert groups == ["a", "b", "c"]
+    assert {(p.row["r.g"], p.document.docid) for p in execution.pairs} == {
+        ("a", "d1"),
+        ("b", "d3"),
+        ("c", "d4"),
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """The remote transport end to end: correctness, retries, accounting."""
 
+import json
+
 import pytest
 
 from repro.core.feedback import corpus_fingerprint
@@ -19,7 +21,7 @@ from repro.remote.channel import (
     FaultProfile,
     LoopbackChannel,
 )
-from repro.remote.codec import encode_response
+from repro.remote.codec import decode_response, encode_request, encode_response
 from repro.remote.endpoint import TextServerEndpoint
 from repro.remote.resilience import CircuitBreaker, RetryPolicy
 from repro.remote.transport import BATCH_FRAME_SIZE, RemoteTextTransport
@@ -342,3 +344,31 @@ class TestClientIntegration:
         local = method.execute(query, tiny_context)
         assert remote.result_keys() == local.result_keys() != set()
         assert remote.cost.total == local.cost.total
+
+
+class TestMalformedFrames:
+    """Valid JSON with a payload of the wrong shape is answered with a
+    typed error frame; nothing escapes the endpoint."""
+
+    @pytest.mark.parametrize(
+        "op, payload",
+        [
+            ("search", {}),
+            ("search", [BELIEF]),
+            ("search_batch", {"queries": "TI='belief'"}),
+            ("retrieve", {"docid": ["d1"]}),
+            ("retrieve_many", {"docids": 5}),
+            ("retrieve_many", {"docids": [["d1"]]}),
+            ("document_frequency", {"field": "TI"}),
+            ("meta", [1]),
+            (["search"], {}),
+        ],
+    )
+    def test_answered_with_a_protocol_error_frame(self, tiny_server, op, payload):
+        endpoint = TextServerEndpoint(tiny_server)
+        frame = json.dumps({"id": 7, "op": op, "payload": payload})
+        frame_id, ok, error = decode_response(endpoint.handle(frame))
+        assert (frame_id, ok, error["type"]) == (7, False, "RemoteProtocolError")
+        # The endpoint still serves a well-formed frame afterwards.
+        frame = encode_request(8, "retrieve_many", {"docids": ["d1"]})
+        assert decode_response(endpoint.handle(frame))[:2] == (8, True)

@@ -11,6 +11,7 @@ they are never a cost-model input.
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.gateway.client import TextClient
@@ -21,10 +22,13 @@ from repro.textsys.inverted_index import InvertedIndex
 from repro.textsys.server import BooleanTextServer
 from repro.textsys.sharding import build_shard_servers, partition_store
 
-from tests.textsys.test_engine_equivalence import (
+from tests.textsys.test_engine_equivalence import (  # noqa: F401 (fixture)
+    RESTRICTED_QUERIES,
     WORDS,
     random_query,
     random_store,
+    restricted_merges,
+    restriction_store,
 )
 
 
@@ -131,3 +135,26 @@ def test_server_accounting_identical_memory_vs_disk(seed, tmp_path_factory):
         assert summed["short_documents"] == expected_counters["short_documents"]
         assert summed["long_documents"] == expected_counters["long_documents"]
         assert summed["searches"] == shards * expected_counters["searches"]
+
+
+@pytest.mark.parametrize("cache_budget", [0, None])
+@pytest.mark.parametrize("block_size", [1, 4])
+@pytest.mark.parametrize("name", sorted(RESTRICTED_QUERIES))
+def test_restricted_positional_conjunct_on_disk(
+    name, block_size, cache_budget, restricted_merges, tmp_path
+):
+    """A phrase or proximity conjunct merged within the running result
+    charges what the reference charges on disk, and fetches no block
+    the reference's full positional merge does not fetch."""
+    store, query = restriction_store(), RESTRICTED_QUERIES[name]
+    path = build_disk_index(
+        store, store.field_names, tmp_path / "r.idx", block_size=block_size
+    )
+    expected = run_engine(InvertedIndex(store), query, "reference")
+    fetches = {}
+    for mode in ("reference", "optimized"):
+        with DiskInvertedIndex(path, cache_budget=cache_budget) as disk:
+            assert run_engine(disk, query, mode) == expected, mode
+            fetches[mode] = disk.io.block_fetches
+    assert restricted_merges.count(True) >= 2, "the rule did not fire"
+    assert fetches["optimized"] <= fetches["reference"]

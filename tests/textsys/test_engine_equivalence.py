@@ -228,3 +228,81 @@ def test_restricted_or_is_never_memoized():
     assert opt_docids == ref_docids
     assert opt_processed == ref_processed
     assert opt_pages == ref_pages
+
+
+# ----------------------------------------------------------------------
+# a phrase or proximity conjunct merged only within the running result
+# ----------------------------------------------------------------------
+def restriction_store() -> DocumentStore:
+    """Forty bodies over four common words in four orders, so every
+    phrase word has df 40; ``zeta`` (4 docs) and ``eta`` (2 docs) are
+    selective, ``epsilon`` (10 docs) never meets ``zeta``."""
+    orders = [
+        "alpha beta gamma delta",
+        "beta alpha delta gamma",
+        "gamma delta alpha beta",
+        "delta gamma beta alpha",
+    ]
+    store = DocumentStore(["title", "body"], short_fields=["title"])
+    for i in range(40):
+        words = ["zeta"] if i in (4, 9, 14, 19) else []
+        words += ["eta"] if i in (9, 14) else []
+        words.append(orders[i % 4])
+        words += ["epsilon"] if 20 <= i < 30 else []
+        store.add(Document(f"d{i}", {"title": "", "body": " ".join(words)}))
+    return store
+
+
+def _phrase(text: str) -> PhraseQuery:
+    return PhraseQuery("body", tuple(text.split()))
+
+
+ZETA, ETA = TermQuery("body", "zeta"), TermQuery("body", "eta")
+RESTRICTED_QUERIES = {
+    "two_word_phrase": AndQuery((ZETA, _phrase("alpha beta"))),
+    "three_word_phrase": AndQuery((_phrase("alpha beta gamma"), ZETA)),
+    "near": AndQuery((ZETA, ProximityQuery("body", "alpha", "delta", 1))),
+    "chain_empties_after_first_word": AndQuery((ZETA, _phrase("gamma alpha beta"))),
+    "no_doc_survives_the_cut": AndQuery((ZETA, _phrase("epsilon alpha"))),
+    "restricted_full_then_memoized": OrQuery(
+        (
+            AndQuery((ZETA, _phrase("alpha beta"))),
+            _phrase("alpha beta"),
+            AndQuery((ETA, _phrase("alpha beta"))),
+        )
+    ),
+}
+
+
+@pytest.fixture
+def restricted_merges(monkeypatch):
+    """Counts the positional cuts the restriction rule makes."""
+    import repro.textsys.engine as engine
+
+    calls = []
+    select_docs = engine.select_docs
+
+    def spy(postings, keep, positions=False):
+        calls.append(positions)
+        return select_docs(postings, keep, positions)
+
+    monkeypatch.setattr(engine, "select_docs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTED_QUERIES))
+def test_restricted_positional_conjunct_is_reference_identical(
+    name, restricted_merges
+):
+    store, query = restriction_store(), RESTRICTED_QUERIES[name]
+    reference = run_mode(store, query, "reference")
+    assert not restricted_merges
+    assert run_mode(store, query, "optimized") == reference
+    assert restricted_merges.count(True) >= 2, "the rule did not fire"
+    assert reference[0] == [d.docid for d in store if matches_document(d, query)]
+
+    counters = {}
+    for mode in ("reference", "optimized"):
+        server = BooleanTextServer(store, engine_mode=mode)
+        counters[mode] = (server.search(query).docids, server.counters.as_dict())
+    assert counters["optimized"] == counters["reference"]
