@@ -100,19 +100,49 @@ def node_to_wire(node: SearchNode) -> Dict[str, Any]:
     raise RemoteProtocolError(f"cannot encode search node {type(node).__name__}")
 
 
+def _typed(wire: Dict[str, Any], key: str, *kinds: type) -> Any:
+    """``wire[key]``, refused unless it is one of ``kinds``."""
+    value = wire[key]
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise RemoteProtocolError(
+            f"search-node {key!r} must be {names}, not {type(value).__name__}"
+        )
+    return value
+
+
+def _words(wire: Dict[str, Any], key: str) -> Tuple[str, ...]:
+    """``wire[key]`` as a tuple, refused unless it is a list of strings."""
+    words = _typed(wire, key, list)
+    if not all(isinstance(word, str) for word in words):
+        raise RemoteProtocolError(f"search-node {key!r} must hold strings only")
+    return tuple(words)
+
+
 def node_from_wire(wire: Dict[str, Any]) -> SearchNode:
-    """Rebuild a search-expression node from its tagged JSON object."""
+    """Rebuild a search-expression node from its tagged JSON object.
+
+    Every field is type-checked before the node is built, so a frame
+    with a wrongly typed field is refused with a
+    :class:`~repro.errors.RemoteProtocolError` instead of failing inside
+    the node's validation or the index.
+    """
     try:
         kind = wire["type"]
         if kind == "term":
-            return TermQuery(wire["field"], wire["term"])
+            return TermQuery(_typed(wire, "field", str), _typed(wire, "term", str))
         if kind == "phrase":
-            return PhraseQuery(wire["field"], tuple(wire["words"]))
+            return PhraseQuery(_typed(wire, "field", str), _words(wire, "words"))
         if kind == "truncated":
-            return TruncatedQuery(wire["field"], wire["prefix"])
+            return TruncatedQuery(
+                _typed(wire, "field", str), _typed(wire, "prefix", str)
+            )
         if kind == "proximity":
             return ProximityQuery(
-                wire["field"], wire["left"], wire["right"], wire["distance"]
+                _typed(wire, "field", str),
+                _typed(wire, "left", str),
+                _typed(wire, "right", str),
+                _typed(wire, "distance", int),
             )
         if kind == "and":
             return AndQuery(tuple(node_from_wire(op) for op in wire["operands"]))
@@ -122,10 +152,10 @@ def node_from_wire(wire: Dict[str, Any]) -> SearchNode:
             return NotQuery(node_from_wire(wire["operand"]))
         if kind == "vector":
             return VectorQuery(
-                wire["field"],
-                tuple(wire["terms"]),
-                top_k=wire["top_k"],
-                threshold=wire["threshold"],
+                _typed(wire, "field", str),
+                _words(wire, "terms"),
+                top_k=_typed(wire, "top_k", int, type(None)),
+                threshold=_typed(wire, "threshold", int, float),
             )
     except (KeyError, TypeError) as exc:
         raise RemoteProtocolError(f"malformed search-node wire object: {exc}") from exc

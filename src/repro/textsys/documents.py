@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import SchemaError, UnknownDocumentError, UnknownFieldError
@@ -39,9 +40,14 @@ class Document:
         return self.fields.get(name, "")
 
     def short_form(self, short_fields: Iterable[str]) -> "Document":
-        """A copy carrying only the given fields (the short form)."""
+        """A copy carrying only the given fields (the short form).
+
+        Its ``fields`` is read-only: a store hands one short form to
+        every answer that carries the document (see
+        :meth:`DocumentStore.short_form`).
+        """
         kept = {name: self.fields[name] for name in short_fields if name in self.fields}
-        return Document(self.docid, kept)
+        return Document(self.docid, MappingProxyType(kept))
 
 
 class DocumentStore:
@@ -75,6 +81,7 @@ class DocumentStore:
                     f"short fields {sorted(unknown)} are not collection fields"
                 )
         self._documents: Dict[str, Document] = {}
+        self._short_forms: Dict[str, Document] = {}
         #: Monotone mutation counter (the cache-invalidation stamp).
         self.version = 0
         #: Process-unique store identity.  Two *different* stores can sit
@@ -108,6 +115,20 @@ class DocumentStore:
             return self._documents[docid]
         except KeyError:
             raise UnknownDocumentError(f"unknown docid {docid!r}") from None
+
+    def short_form(self, docid: str) -> Document:
+        """A document's short form, built on first use and reused after.
+
+        The store only ever adds documents, docids are unique and a
+        :class:`Document` is frozen, so a stored short form never goes
+        stale.  Two threads racing on a first build store equal values;
+        either may win.
+        """
+        short = self._short_forms.get(docid)
+        if short is None:
+            short = self.get(docid).short_form(self.short_fields)
+            self._short_forms[docid] = short
+        return short
 
     def __contains__(self, docid: str) -> bool:
         return docid in self._documents

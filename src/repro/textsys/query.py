@@ -70,7 +70,7 @@ class TermQuery(SearchNode):
     def __post_init__(self) -> None:
         if not self.term:
             raise SearchSyntaxError("empty search term")
-        if self.term != normalize_term(self.term) or len(tokenize(self.term)) != 1:
+        if tokenize(self.term) != [self.term]:
             raise SearchSyntaxError(
                 f"term {self.term!r} is not a single normalized word; "
                 "use make_term() to build terms from raw text"
@@ -94,7 +94,7 @@ class PhraseQuery(SearchNode):
         if len(self.words) < 2:
             raise SearchSyntaxError("a phrase needs at least two words")
         for word in self.words:
-            if word != normalize_term(word) or len(tokenize(word)) != 1:
+            if tokenize(word) != [word]:
                 raise SearchSyntaxError(f"phrase word {word!r} is not normalized")
 
     def term_count(self) -> int:
@@ -140,7 +140,7 @@ class ProximityQuery(SearchNode):
         if self.distance < 1:
             raise SearchSyntaxError("proximity distance must be >= 1")
         for word in (self.left, self.right):
-            if word != normalize_term(word) or len(tokenize(word)) != 1:
+            if tokenize(word) != [word]:
                 raise SearchSyntaxError(f"proximity word {word!r} is not normalized")
 
     def term_count(self) -> int:

@@ -86,9 +86,8 @@ class BooleanTextServer(StoreBackedSource):
             query = parse_search(query)
         self._check_term_limit(query)
         outcome = evaluate(self.index, query, mode=self.engine_mode)
-        docid_of = self.index.docid_of
         return self._answer(
-            tuple(docid_of(doc) for doc in outcome.postings.doc_array),
+            tuple(map(self.index.docid_of, outcome.postings.doc_array)),
             outcome.postings_processed,
         )
 

@@ -294,9 +294,7 @@ class StoreBackedSource:
         scores: Tuple[float, ...] = (),
     ) -> ResultSet:
         """Materialise the short forms and account the answered search."""
-        get = self.store.get
-        short_fields = self.store.short_fields
-        documents = tuple(get(docid).short_form(short_fields) for docid in docids)
+        documents = tuple(map(self.store.short_form, docids))
         self.counters.record_search(postings_processed, len(docids))
         return ResultSet(
             docids=docids,

@@ -27,6 +27,7 @@ from repro.remote.resilience import CircuitBreaker, RetryPolicy
 from repro.remote.transport import BATCH_FRAME_SIZE, RemoteTextTransport
 from repro.textsys.parser import parse_search
 from repro.textsys.server import BooleanTextServer
+from repro.textsys.vectorserver import VectorTextServer
 
 BELIEF = "TI='belief'"
 UPDATE = "TI='update'"
@@ -362,6 +363,28 @@ class TestMalformedFrames:
             ("document_frequency", {"field": "TI"}),
             ("meta", [1]),
             (["search"], {}),
+            # Valid payload shapes whose search node has wrongly typed fields.
+            ("search", {"query": {"type": "term", "field": 1, "term": 2}}),
+            (
+                "search",
+                {"query": {"type": "phrase", "field": "title", "words": [1, 2]}},
+            ),
+            ("search", {"query": {"type": "truncated", "field": "title", "prefix": 7}}),
+            ("search", {"query": {"type": "term", "field": ["x"], "term": "hello"}}),
+            ("search", {"query": {"type": "phrase", "field": "title", "words": "ab"}}),
+            ("search_batch", {"queries": [{"type": "term", "field": 1, "term": 2}]}),
+            (
+                "search",
+                {
+                    "query": {
+                        "type": "proximity",
+                        "field": "title",
+                        "left": "a",
+                        "right": "b",
+                        "distance": "3",
+                    }
+                },
+            ),
         ],
     )
     def test_answered_with_a_protocol_error_frame(self, tiny_server, op, payload):
@@ -372,3 +395,21 @@ class TestMalformedFrames:
         # The endpoint still serves a well-formed frame afterwards.
         frame = encode_request(8, "retrieve_many", {"docids": ["d1"]})
         assert decode_response(endpoint.handle(frame))[:2] == (8, True)
+
+    @pytest.mark.parametrize(
+        "top_k, threshold", [(3, "x"), (3.5, 0.0), (None, None), ("3", 0.0)]
+    )
+    def test_a_wrongly_typed_vector_node_is_a_protocol_error(
+        self, tiny_store, top_k, threshold
+    ):
+        endpoint = TextServerEndpoint(VectorTextServer(tiny_store, "title"))
+        node = {
+            "type": "vector",
+            "field": "title",
+            "terms": ["belief"],
+            "top_k": top_k,
+            "threshold": threshold,
+        }
+        frame = encode_request(7, "search", {"query": node})
+        frame_id, ok, error = decode_response(endpoint.handle(frame))
+        assert (frame_id, ok, error["type"]) == (7, False, "RemoteProtocolError")

@@ -1,8 +1,10 @@
 """Unit tests for the Boolean search AST (term counting, construction)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SearchSyntaxError
+from repro.textsys.analysis import normalize_term, tokenize
 from repro.textsys.query import (
     AndQuery,
     NotQuery,
@@ -140,3 +142,25 @@ class TestToExpression:
         text = node.to_expression()
         assert "title='belief update'" in text
         assert "author='smith' or author='jones'" in text
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.sampled_from(["belief", "o'brien", "x1", "Belief"])))
+def test_one_tokenize_accepts_exactly_what_the_two_step_check_accepted(word):
+    """A word is valid iff it tokenizes to itself alone; that single
+    tokenize rejects exactly what ``normalize_term`` plus a token count
+    rejected."""
+    two_step = word != normalize_term(word) or len(tokenize(word)) != 1
+    assert (tokenize(word) != [word]) == two_step
+    for build in (
+        lambda: TermQuery("title", word),
+        lambda: PhraseQuery("title", ("belief", word)),
+        lambda: ProximityQuery("title", word, "belief", 3),
+    ):
+        try:
+            build()
+        except SearchSyntaxError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted is not two_step
